@@ -18,9 +18,10 @@
 //!   way shaded/sun-struck panels on neighbouring poles do.
 //!
 //! Nodes never interact, so the engine shards the population across the
-//! crate's scoped worker pool and merges per-shard results in shard
-//! order. Every per-node trajectory is a pure function of the spec and
-//! config, which makes the whole run **bit-identical at any thread count
+//! crate's scoped worker pool, heaviest shards first, and merges
+//! per-shard results in shard order. Every per-node trajectory is a pure
+//! function of the spec and config, which makes the whole run
+//! **bit-identical at any thread count
 //! and any shard size** — the same guarantee the ensemble runner gives,
 //! extended to populations.
 //!
@@ -120,6 +121,7 @@ use mseh_node::{DutyCyclePolicy, EnergyStatus, MonitoringLevel, SensorNode};
 use mseh_power::{DcDcConverter, HarvestStep, InputChannel, PowerStage};
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_units::{Joules, Ratio, Seconds, Volts, Watts};
+use std::cmp::Reverse;
 
 pub(crate) mod dense_lanes;
 
@@ -593,7 +595,9 @@ pub struct FleetConfig {
     /// `MSEH_THREADS`). Results are bit-identical at any value.
     pub threads: usize,
     /// Nodes per shard (`0` = 1024). Results are bit-identical at any
-    /// value; smaller shards balance heterogeneous groups better.
+    /// value. Shards dispatch heaviest-first (per-node-path nodes, then
+    /// jittered batched nodes, by a cost read from the spec), so this
+    /// sets only the work granularity, not the balance.
     pub shard_size: usize,
     /// How often member nodes re-sample site conditions.
     pub cadence: EnvCadence,
@@ -1561,7 +1565,36 @@ pub fn run_fleet_controlled(
         config.threads
     };
 
-    let done_nodes = std::sync::atomic::AtomicU64::new(0);
+    // Heaviest-first dispatch: the pool claims work in list order, so a
+    // costly shard left at the tail would run alone while the other
+    // workers idle. Rank shards by a cost read from the spec — nodes on
+    // the per-node path, then jittered batched nodes (each builds its
+    // own harvest table), both descending, then node order. Outcomes go
+    // back to shard order before the fold, which never sees this order.
+    let mut order: Vec<usize> = (0..shards.len()).collect();
+    order.sort_by_cached_key(|&s| {
+        let (lo, hi) = shards[s];
+        let (mut per_node, mut jittered) = (0u64, 0u64);
+        let mut gi = spans.partition_point(|&(_, end)| end <= lo);
+        while gi < spans.len() && spans[gi].0 < hi {
+            let overlap = hi.min(spans[gi].1) - lo.max(spans[gi].0);
+            let jitter = match &spec.groups[gi] {
+                GroupEntry::Boxed(g) => g.jitter,
+                GroupEntry::Dense(g) => g.jitter,
+            };
+            if !batched[gi] {
+                per_node += overlap;
+            } else if !jitter.is_none() {
+                jittered += overlap;
+            }
+            gi += 1;
+        }
+        (Reverse(per_node), Reverse(jittered), s)
+    });
+
+    // Counted and reported under one lock, so concurrent shards report
+    // strictly increasing counts.
+    let done_nodes = std::sync::Mutex::new(0u64);
     let run_shard = |&(lo, hi): &(u64, u64)| -> Vec<NodeOutcome> {
         let mut out = Vec::with_capacity((hi - lo) as usize);
         // Scratch harvest table reused by jittered dense nodes.
@@ -1751,13 +1784,17 @@ pub fn run_fleet_controlled(
             cursor = run_end;
         }
         if let Some(report) = control.progress {
-            let done =
-                hi - lo + done_nodes.fetch_add(hi - lo, std::sync::atomic::Ordering::Relaxed);
-            report(done, population);
+            let mut done = done_nodes.lock().unwrap_or_else(|e| e.into_inner());
+            *done += hi - lo;
+            report(*done, population);
         }
         out
     };
-    let shard_outcomes = par_map_with(threads.max(1), &shards, run_shard);
+    let dispatched = par_map_with(threads.max(1), &order, |&s| run_shard(&shards[s]));
+    let mut shard_outcomes: Vec<Vec<NodeOutcome>> = shards.iter().map(|_| Vec::new()).collect();
+    for (s, outcomes) in order.into_iter().zip(dispatched) {
+        shard_outcomes[s] = outcomes;
+    }
 
     // A tripped token may have left some shards short; partial results
     // are discarded wholesale rather than folded torn.
@@ -1829,17 +1866,9 @@ pub fn run_fleet_controlled(
         mean,
     };
 
-    // Worst-uptime stragglers, ties broken by node index.
-    let mut ranked: Vec<(f64, u64)> = uptimes
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| (u, i as u64))
-        .collect();
-    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let stragglers = ranked
-        .iter()
-        .take(config.stragglers.min(population as usize))
-        .map(|&(u, n)| {
+    let stragglers = worst_uptimes(&uptimes, config.stragglers)
+        .into_iter()
+        .map(|(u, n)| {
             let gi = spans.partition_point(|&(_, end)| end <= n);
             let outcome = {
                 let shard = (n / shard_size) as usize;
@@ -1890,6 +1919,25 @@ pub fn run_fleet_controlled(
         },
         node_results,
     }))
+}
+
+/// The `k` worst `(uptime, node)` pairs, worst first: uptimes by
+/// `total_cmp`, ties broken by node index. Selects the `k` before
+/// sorting them, so the serial tail costs O(n + k log k), not a full
+/// sort of the population.
+fn worst_uptimes(uptimes: &[f64], k: usize) -> Vec<(f64, u64)> {
+    let order = |a: &(f64, u64), b: &(f64, u64)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    let mut ranked: Vec<(f64, u64)> = uptimes
+        .iter()
+        .enumerate()
+        .map(|(i, &u)| (u, i as u64))
+        .collect();
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
+    ranked
 }
 
 #[cfg(test)]
@@ -2023,6 +2071,101 @@ mod tests {
         let reference = run(1, 37);
         for (threads, shard) in [(2, 5), (4, 64), (3, 1)] {
             assert_eq!(run(threads, shard), reference, "{threads}t/{shard}s");
+        }
+
+        // Mixed lanes dispatch out of node order: the boxed group, last
+        // in the spec, fills its own 64-node shard and runs first, and
+        // at shard 7 it also shares a shard with the dense tail.
+        let mut spec = FleetSpec::new();
+        let site = spec.add_site(Environment::outdoor_temperate(11));
+        spec.add_dense_group(
+            solar_dense("jittered", 40, site, SensorNode::submilliwatt_class())
+                .with_seed(3)
+                .with_jitter(EnvJitter::relative(0.2)),
+        );
+        spec.add_dense_group(solar_dense(
+            "uniform",
+            24,
+            site,
+            SensorNode::submilliwatt_class(),
+        ));
+        spec.add_group(
+            FleetGroup::new(
+                "boxed",
+                64,
+                site,
+                SensorNode::milliwatt_class(),
+                |_| Box::new(solar_unit()),
+                |_| Box::new(FixedDuty::new(duty())),
+            )
+            .with_seed(9)
+            .with_jitter(EnvJitter::relative(0.3)),
+        );
+        let population = spec.population();
+        let run = |threads: usize, shard: usize| {
+            let reports = std::sync::Mutex::new(Vec::new());
+            let progress = |done: u64, total: u64| {
+                assert_eq!(total, population);
+                reports.lock().unwrap().push(done);
+            };
+            let out = run_fleet_controlled(
+                &spec,
+                FleetConfig {
+                    threads,
+                    shard_size: shard,
+                    keep_node_results: true,
+                    stragglers: 16,
+                    ..FleetConfig::over(Seconds::from_hours(2.0))
+                },
+                FleetControl {
+                    cancel: None,
+                    progress: Some(&progress),
+                },
+            )
+            .expect("valid spec")
+            .expect("not cancelled");
+            let reports = reports.into_inner().unwrap();
+            assert!(
+                reports.windows(2).all(|w| w[0] < w[1]),
+                "{threads}t/{shard}s progress {reports:?}"
+            );
+            assert_eq!(reports.last(), Some(&population));
+            out
+        };
+        let reference = run(1, 0);
+        assert_eq!(reference.summary.stragglers.len(), 16);
+        for threads in [1, 2, 3] {
+            for shard in [0, 7, 64] {
+                let out = run(threads, shard);
+                assert_eq!(out.summary, reference.summary, "{threads}t/{shard}s");
+                assert_eq!(
+                    out.node_results, reference.node_results,
+                    "{threads}t/{shard}s"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn worst_uptimes_matches_a_full_sort_with_ties() {
+        // Tied uptimes (including ±0.0, which `total_cmp` orders) must
+        // fall back to node index exactly as a full sort does.
+        let uptimes = [
+            0.5, 0.25, 1.0, 0.25, 0.0, -0.0, 0.5, 0.25, 1.0, 0.0, 0.75, 0.25,
+        ];
+        let mut reference: Vec<(f64, u64)> = uptimes
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| (u, i as u64))
+            .collect();
+        reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for k in 0..=uptimes.len() + 2 {
+            let got = worst_uptimes(&uptimes, k);
+            let want = &reference[..k.min(uptimes.len())];
+            assert_eq!(got.len(), want.len(), "k={k}");
+            for (g, w) in got.iter().zip(want) {
+                assert_eq!((g.0.to_bits(), g.1), (w.0.to_bits(), w.1), "k={k}");
+            }
         }
     }
 

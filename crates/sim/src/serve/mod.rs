@@ -280,10 +280,12 @@ pub fn serve(
                                 session::handle_connection(stream, shared, session_runner);
                             });
                         if let Ok(handle) = handle {
-                            accept_sessions
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push(handle);
+                            let mut sessions =
+                                accept_sessions.lock().unwrap_or_else(|e| e.into_inner());
+                            // Reap closed sessions so the list tracks live
+                            // connections, not every connection ever made.
+                            sessions.retain(|s| !s.is_finished());
+                            sessions.push(handle);
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -522,6 +524,23 @@ mod tests {
         assert!(saw_event);
         // Connection is back in request mode after the stream.
         assert_eq!(client.roundtrip("ping"), "ok pong=1");
+        handle.shutdown_and_wait();
+    }
+
+    #[test]
+    fn closed_sessions_are_reaped() {
+        let (handle, mut client) = start();
+        assert_eq!(client.roundtrip("ping"), "ok pong=1");
+        drop(client);
+        for _ in 0..200 {
+            let mut client = Client::connect(handle.addr());
+            assert_eq!(client.roundtrip("ping"), "ok pong=1");
+        }
+        let live = handle.sessions.lock().unwrap().len();
+        assert!(
+            live <= 32,
+            "{live} session handles held after 201 closed sessions"
+        );
         handle.shutdown_and_wait();
     }
 

@@ -198,6 +198,21 @@ grep -q '"cached_matches_uncached": true' target/BENCH_sim_quick.json || {
 }
 echo "ok: cached System C trace bit-identical to uncached reference"
 
+echo "==> benchmark tests (perfbench package, built under .bench_build)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "==> fleet-mixed correctness smoke (seed 4242, 2 s, untraced)"
+# The benchmark checks every fleet variant's reruns bit-identical and
+# closes each variant's energy books before it reports "correct": true,
+# so this exercises the fleet engine's shard dispatch end to end.
+fleet_smoke="$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload fleet-mixed --seed 4242 --seconds 2 --trace 0)"
+printf '%s\n' "$fleet_smoke" | tail -n 1 | grep -q '"correct": true' || {
+    echo "FAIL: fleet-mixed benchmark run reported incorrect results"
+    printf '%s\n' "$fleet_smoke"
+    exit 1
+}
+echo "ok: fleet-mixed reruns bit-identical, books closed"
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --check
