@@ -1020,8 +1020,19 @@ fn main() {
     assert_eq!(arena_spec.contenders().len(), ARENA_CONTENDERS);
     let arena_cfg = ArenaConfig::over(arena_horizon);
     {
+        // The same rig boxed: lanes replay one driver's harvest table.
+        let boxed_spec = ArenaSpec::boxed(
+            "perf arena (boxed)",
+            node.clone(),
+            |_| Box::new(arena_unit()),
+            Environment::outdoor_temperate,
+        )
+        .with_contenders(arena_roster())
+        .with_seeds(&[arena_seed]);
         let kept = run_arena(&arena_spec, arena_cfg.keep_lane_results());
         let lanes = kept.lane_results.expect("kept");
+        let boxed = run_arena(&boxed_spec, arena_cfg.keep_lane_results());
+        let boxed_lanes = boxed.lane_results.expect("kept");
         for (ci, contender) in arena_spec.contenders().iter().enumerate() {
             let mut unit = arena_unit();
             let mut policy = contender.build(arena_seed);
@@ -1038,10 +1049,16 @@ fn main() {
                 "arena lane {} diverged from its independent run",
                 contender.name()
             );
+            assert_eq!(
+                boxed_lanes[ci],
+                reference,
+                "boxed arena lane {} diverged from its independent run",
+                contender.name()
+            );
         }
         println!(
-            "determinism: all {ARENA_CONTENDERS} arena lanes bit-identical to independent \
-             run_simulation runs"
+            "determinism: all {ARENA_CONTENDERS} arena lanes, dense and boxed, bit-identical \
+             to independent run_simulation runs"
         );
     }
     let mut arena_secs = f64::INFINITY;

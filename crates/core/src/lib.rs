@@ -95,8 +95,8 @@ pub use classify::{classify, render_table, TaxonomyRecord};
 pub use compat::{CompatError, PortRequirement};
 pub use datasheet::{DeviceClass, ElectronicDatasheet};
 pub use power_unit::{
-    EnergyTotals, HarvesterPort, PowerUnit, PowerUnitBuilder, StepReport, StorePort, StoreRole,
-    Supervisor,
+    BusHarvest, EnergyTotals, HarvesterPort, PowerUnit, PowerUnitBuilder, StepReport, StorePort,
+    StoreRole, Supervisor,
 };
 pub use smart::{SmartModule, SmartNetwork, SmartPayload};
 pub use taxonomy::{ConditioningPlacement, Exchangeability, IntelligenceLocation, InterfaceKind};

@@ -142,6 +142,18 @@ impl StepReport {
     }
 }
 
+/// The load-independent half of one step, as
+/// [`PowerUnit::harvest`] returns it: bus-side power rates for the step.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct BusHarvest {
+    /// Power all input channels delivered onto the bus, summed in port
+    /// order.
+    pub harvested: Watts,
+    /// Housekeeping draw: supervisor, output-stage quiescent, then each
+    /// channel's overhead in port order.
+    pub overhead: Watts,
+}
+
 /// A multi-source energy-harvesting power unit.
 ///
 /// Construct with [`PowerUnit::builder`]; the seven surveyed platforms in
@@ -763,25 +775,70 @@ impl PowerUnit {
 
     /// Advances the unit one interval: harvest, serve `load` through the
     /// output stage, balance against the stores.
+    ///
+    /// Exactly [`harvest`](Self::harvest) followed by
+    /// [`settle`](Self::settle); the two halves are the whole step.
     pub fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
-        // 0. Age stages with internal clocks (scheduled-brownout
-        //    wrappers) before serving, so the step containing a brownout
-        //    start already sees the stage down.
+        let harvest = self.harvest(env, dt);
+        self.settle(harvest, dt, load)
+    }
+
+    /// The load-independent half of [`step`](Self::step): ages the
+    /// output stage, steps every input channel, and sums delivered power
+    /// and overhead in port order.
+    ///
+    /// The result depends only on how the unit was built, the
+    /// environment and the sequence of step widths — never on the load
+    /// or the store state — so identically built units fed the same
+    /// conditions produce the same sequence bit for bit. That is what
+    /// lets an engine solve it once and [`replay`](Self::replay) it on
+    /// every twin.
+    pub fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        // Age stages with internal clocks (scheduled-brownout wrappers)
+        // before serving, so the step containing a brownout start
+        // already sees the stage down.
         self.output.advance(dt);
 
-        // 1. Harvest.
-        let mut harvested_w = Watts::ZERO;
-        let mut overhead_w = self.supervisor.overhead + self.output.quiescent();
+        let mut harvested = Watts::ZERO;
+        let mut overhead = self.supervisor.overhead + self.output.quiescent();
         for port in &mut self.harvester_ports {
             if let Some(channel) = port.channel.as_mut() {
                 let step = channel.step(env, dt);
-                harvested_w += step.delivered;
-                overhead_w += step.overhead;
+                harvested += step.delivered;
+                overhead += step.overhead;
             }
         }
+        BusHarvest {
+            harvested,
+            overhead,
+        }
+    }
+
+    /// Replays a harvest half an identically built twin solved for this
+    /// step: ages this unit's own output stage as
+    /// [`harvest`](Self::harvest) would, without stepping a channel,
+    /// then [`settle`](Self::settle)s. Bit-identical to
+    /// [`step`](Self::step) on this unit as long as the twin saw the
+    /// same conditions and step widths. The unit's own channels stay
+    /// untouched, so their state and cache counters are the twin's to
+    /// report.
+    pub fn replay(&mut self, harvest: BusHarvest, dt: Seconds, load: Watts) -> StepReport {
+        self.output.advance(dt);
+        self.settle(harvest, dt, load)
+    }
+
+    /// The load-dependent half of [`step`](Self::step): serves `load`
+    /// through the output stage, balances the bus against the stores,
+    /// applies self-discharge and books the totals. `harvest` is what
+    /// [`harvest`](Self::harvest) returned for this step.
+    pub fn settle(&mut self, harvest: BusHarvest, dt: Seconds, load: Watts) -> StepReport {
+        let BusHarvest {
+            harvested: harvested_w,
+            overhead: overhead_w,
+        } = harvest;
         self.last_harvest = harvested_w;
 
-        // 2. Load demand through the output stage at the store voltage.
+        // 1. Load demand through the output stage at the store voltage.
         let store_v = self.store_voltage();
         let (load_in_w, servable) = if load.value() > 0.0 {
             if self.output.accepts_input_voltage(store_v) {
@@ -793,7 +850,7 @@ impl PowerUnit {
             (Watts::ZERO, true)
         };
 
-        // 3. Balance on the bus.
+        // 2. Balance on the bus.
         let e_h = harvested_w * dt;
         let e_load_in = load_in_w * dt;
         let e_ov = overhead_w * dt;
@@ -851,7 +908,7 @@ impl PowerUnit {
             unmet = deficit.max(Joules::ZERO);
         }
 
-        // 4. Shortfall lands on the load first (the node browns out
+        // 3. Shortfall lands on the load first (the node browns out
         //    before the power unit's own electronics).
         let (delivered, shortfall, converter_loss) = if !servable {
             (Joules::ZERO, load * dt, Joules::ZERO)
@@ -870,7 +927,7 @@ impl PowerUnit {
             (Joules::ZERO, Joules::ZERO, Joules::ZERO)
         };
 
-        // 5. Storage self-discharge.
+        // 4. Storage self-discharge.
         for port in &mut self.store_ports {
             if let Some(device) = port.device.as_mut() {
                 device.idle(dt);
@@ -1143,6 +1200,43 @@ mod tests {
             (lhs - rhs).abs() < 1e-6 * lhs.max(1.0),
             "audit failed: {lhs} vs {rhs}"
         );
+    }
+
+    #[test]
+    fn replaying_a_twins_harvest_equals_stepping() {
+        // A scheduled brownout clocks the output stage, so the replaying
+        // unit must age its own stage exactly as `harvest` would.
+        let build = || {
+            let mut unit = small_unit();
+            unit.instrument_output_stage(|stage| {
+                Box::new(mseh_power::BrownoutConverter::new(
+                    stage,
+                    vec![(Seconds::new(600.0), Seconds::new(1500.0))],
+                ))
+            });
+            unit
+        };
+        let (mut stepped, mut driver, mut twin) = (build(), build(), build());
+        let dt = Seconds::new(60.0);
+        for i in 0..60 {
+            let env = if i % 3 == 0 {
+                EnvConditions::quiescent(Seconds::ZERO)
+            } else {
+                sunny()
+            };
+            let load = Watts::from_milli(if i % 5 == 0 { 40.0 } else { 2.0 });
+            let a = stepped.step(&env, dt, load);
+            let b = twin.replay(driver.harvest(&env, dt), dt, load);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "step {i}");
+        }
+        assert_eq!(stepped.totals(), twin.totals());
+        assert_eq!(
+            stepped.fault_counts(),
+            (1, 1),
+            "the brownout fired and cleared"
+        );
+        assert_eq!(twin.fault_counts(), (1, 1));
+        assert_eq!(stepped.energy_status(), twin.energy_status());
     }
 
     #[test]

@@ -16,6 +16,17 @@
 //! ([`mseh_storage::SupercapLanes`], [`mseh_storage::BatteryLanes`])
 //! apply across policy lanes exactly as they do across fleet nodes.
 //!
+//! Boxed platforms get the same amortization when they can split their
+//! step ([`Platform::split_step`]): per seed one driver platform streams
+//! the environment one control window at a time through its harvest
+//! half, filling a table of two `f64` per step (bus harvest and
+//! overhead), and every lane replays that table through its own settle
+//! half — lanes never solve a harvest, and no per-step condition rows
+//! are kept. Each lane reports the driver's kernel-cache counters,
+//! exactly what its independent run reports. Platforms that cannot
+//! split (forwarding wrappers that implement only `step`) step lane by
+//! lane against the seed's sampled condition rows.
+//!
 //! # Bit-identity
 //!
 //! Under the default per-step cadence every lane's trajectory is
@@ -65,18 +76,19 @@
 //! assert_eq!(out.summary.standings[0].rank, 1);
 //! ```
 
-use crate::cancel::tripped;
+use crate::cancel::{tripped, CancelToken};
 use crate::fleet::dense_lanes::{run_battery_lanes, run_supercap_lanes, LanePopulation};
 use crate::fleet::{
     build_harvest_table, percentile, simulate_node, simulate_node_dense, DenseClass,
-    DenseSolveTier, DenseStore, EnvCadence, FleetControl, NodeOutcome, PlatformFactory,
-    PolicyFactory, StepPlan, UptimePercentiles,
+    DenseSolveTier, DenseStore, EnvCadence, FleetControl, HarvestSource, NodeOutcome,
+    PlatformFactory, PolicyFactory, StepPlan, UptimePercentiles,
 };
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 #[cfg(doc)]
 use crate::runner::run_simulation;
 use crate::runner::{SimConfig, SimResult};
+use mseh_core::{BusHarvest, PowerUnit};
 use mseh_env::{EnvConditions, EnvSampler, Environment, JitterFactors};
 use mseh_harvesters::CacheStats;
 use mseh_node::{
@@ -135,8 +147,10 @@ impl core::fmt::Debug for Contender {
 /// The hardware every policy lane runs on.
 enum ArenaPlatform {
     /// Arbitrary platforms behind dynamic dispatch, rebuilt per
-    /// (scenario seed, lane) by the factory — the reference path,
-    /// bit-identical to standalone runs by construction.
+    /// (scenario seed, lane) by the factory. Lanes replay one driver's
+    /// harvest table when the platform can split its step, and step
+    /// against sampled rows otherwise; both are bit-identical to
+    /// standalone runs.
     Boxed(Box<PlatformFactory>),
     /// The monomorphized single-channel/single-store shape: lanes
     /// share one harvest table and step on the batched
@@ -511,11 +525,13 @@ pub fn run_arena_controlled(
         config.threads
     };
 
-    // One shard per scenario seed: the row samples its environment
-    // trace once, builds the shared harvest table once (dense), and
+    // One shard per scenario seed: the row solves its harvest once —
+    // the shared table (dense) or one driver platform (boxed) — and
     // steps all N policy lanes against it. Rows fold back in seed
-    // order, so thread count never touches a bit.
-    let done_lanes = std::sync::atomic::AtomicU64::new(0);
+    // order, so thread count never touches a bit. Lanes are counted and
+    // reported under one lock, so concurrent rows report strictly
+    // increasing counts.
+    let done_lanes = std::sync::Mutex::new(0u64);
     let seed_indices: Vec<usize> = (0..spec.seeds.len()).collect();
     let run_row = |&si: &usize| -> RowOutcome {
         let seed = spec.seeds[si];
@@ -527,8 +543,6 @@ pub fn run_arena_controlled(
             return row;
         }
         let env = (spec.env)(seed);
-        let mut rows: Vec<EnvConditions> = Vec::new();
-        env.conditions_into(&times, &mut rows);
         let mut policies: Vec<Box<dyn DutyCyclePolicy>> =
             spec.contenders.iter().map(|c| (c.policy)(seed)).collect();
 
@@ -536,6 +550,8 @@ pub fn run_arena_controlled(
             ArenaPlatform::Dense(class) => {
                 // The shared work: one channel drives the full step
                 // sequence; every lane replays the table.
+                let mut rows: Vec<EnvConditions> = Vec::new();
+                env.conditions_into(&times, &mut rows);
                 let mut channel = (class.channel)();
                 let mut table: Vec<HarvestStep> = Vec::new();
                 if build_harvest_table(
@@ -629,15 +645,44 @@ pub fn run_arena_controlled(
                 }
             }
             ArenaPlatform::Boxed(factory) => {
+                // A driver that can split solves every step's harvest
+                // half once; lanes replay its table and report its cache
+                // counters. A driver that cannot split becomes the first
+                // lane, and lanes step against sampled rows instead.
+                let mut driver = factory(seed);
+                let mut table: Vec<BusHarvest> = Vec::new();
+                let mut replay_cache = None;
+                if let Some(unit) = driver.split_step() {
+                    if build_bus_table(unit, &env, &plan, cancel, &mut table).is_none() {
+                        return row;
+                    }
+                    replay_cache = Some(driver.kernel_cache_stats());
+                }
+                let mut spare = replay_cache.is_none().then_some(driver);
+                let mut rows: Vec<EnvConditions> = Vec::new();
                 for policy in policies.iter_mut() {
-                    let mut platform = factory(seed);
+                    let mut platform = spare.take().unwrap_or_else(|| factory(seed));
+                    let source = match replay_cache {
+                        Some(cache) if platform.split_step().is_some() => HarvestSource::Replay {
+                            table: &table,
+                            cache,
+                        },
+                        _ => {
+                            if rows.is_empty() {
+                                env.conditions_into(&times, &mut rows);
+                            }
+                            HarvestSource::Env {
+                                rows: &rows,
+                                factors: &JitterFactors::IDENTITY,
+                                jittered: false,
+                            }
+                        }
+                    };
                     match simulate_node(
                         platform.as_mut(),
                         &spec.node,
                         policy.as_mut(),
-                        &rows,
-                        &JitterFactors::IDENTITY,
-                        false,
+                        &source,
                         &plan,
                         cancel,
                     ) {
@@ -657,9 +702,9 @@ pub fn run_arena_controlled(
         }
 
         if let Some(report) = control.progress {
-            let done =
-                n as u64 + done_lanes.fetch_add(n as u64, std::sync::atomic::Ordering::Relaxed);
-            report(done, lanes_total);
+            let mut done = done_lanes.lock().unwrap_or_else(|e| e.into_inner());
+            *done += n as u64;
+            report(*done, lanes_total);
         }
         row
     };
@@ -830,6 +875,53 @@ pub fn run_arena_controlled(
     }))
 }
 
+/// Streams one seed's environment through `driver`'s harvest half one
+/// control window at a time, filling the per-step table boxed lanes
+/// replay. The driver takes exactly the step sequence an independent
+/// run takes — every step, at the plan's widths — so its channel state
+/// and cache counters end where each lane's own would. Returns `None`
+/// when `cancel` trips, checked once per window.
+fn build_bus_table(
+    driver: &mut PowerUnit,
+    env: &Environment,
+    plan: &StepPlan,
+    cancel: Option<&CancelToken>,
+    out: &mut Vec<BusHarvest>,
+) -> Option<()> {
+    out.clear();
+    out.reserve(plan.steps as usize);
+    let mut times: Vec<Seconds> = Vec::with_capacity(plan.control_every as usize);
+    let mut window: Vec<EnvConditions> = Vec::with_capacity(plan.control_every as usize);
+    let mut window_start = 0u64;
+    while window_start < plan.steps {
+        if tripped(cancel) {
+            return None;
+        }
+        let window_end = (window_start + plan.control_every).min(plan.steps);
+        times.clear();
+        match plan.cadence {
+            EnvCadence::PerStep => {
+                times.extend((window_start..window_end).map(|j| plan.time_at(j)))
+            }
+            EnvCadence::PerWindow => times.push(plan.time_at(window_start)),
+        }
+        env.conditions_into(&times, &mut window);
+        for j in window_start..window_end {
+            let step_dt = match plan.frac_dt {
+                Some(frac) if j == plan.full_steps => frac,
+                _ => plan.dt,
+            };
+            let conditions = match plan.cadence {
+                EnvCadence::PerStep => &window[(j - window_start) as usize],
+                EnvCadence::PerWindow => &window[0],
+            };
+            out.push(driver.harvest(conditions, step_dt));
+        }
+        window_start = window_end;
+    }
+    Some(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,6 +1052,228 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Forwards every [`Platform`] query to a [`PowerUnit`] but does not
+    /// offer [`Platform::split_step`], so arenas take the per-lane path.
+    struct StepOnly(PowerUnit);
+
+    impl Platform for StepOnly {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn step(
+            &mut self,
+            env: &EnvConditions,
+            dt: Seconds,
+            load: mseh_units::Watts,
+        ) -> mseh_core::StepReport {
+            self.0.step(env, dt, load)
+        }
+        fn energy_status(&self) -> mseh_node::EnergyStatus {
+            self.0.energy_status()
+        }
+        fn total_stored_energy(&self) -> Joules {
+            self.0.total_stored_energy()
+        }
+        fn storage_losses(&self) -> Joules {
+            self.0.storage_losses()
+        }
+        fn storage_capacity(&self) -> Joules {
+            self.0.storage_capacity()
+        }
+        fn kernel_cache_stats(&self) -> CacheStats {
+            self.0.kernel_cache_stats()
+        }
+    }
+
+    fn step_only_spec() -> ArenaSpec {
+        ArenaSpec::boxed(
+            "step only",
+            SensorNode::submilliwatt_class(),
+            |_| Box::new(StepOnly(solar_unit())),
+            Environment::outdoor_temperate,
+        )
+        .with_contenders(mixed_roster())
+        .with_seeds(&[11, 12, 13])
+    }
+
+    /// Three hours, and three hours plus half a step (a fractional
+    /// closing step).
+    const HORIZONS: [f64; 2] = [3.0 * 3600.0, 3.0 * 3600.0 + 30.0];
+
+    #[test]
+    fn replayed_lanes_match_independent_runs_at_any_thread_count() {
+        let spec = boxed_spec();
+        for horizon in HORIZONS.map(Seconds::new) {
+            for threads in [1, 2, 3] {
+                let out = run_arena(
+                    &spec,
+                    ArenaConfig::over(horizon)
+                        .with_threads(threads)
+                        .keep_lane_results(),
+                );
+                let lanes = out.lane_results.expect("kept");
+                for (si, &seed) in spec.seeds().iter().enumerate() {
+                    for (ci, contender) in spec.contenders().iter().enumerate() {
+                        let reference = run_simulation(
+                            &mut solar_unit(),
+                            &Environment::outdoor_temperate(seed),
+                            &SensorNode::submilliwatt_class(),
+                            contender.build(seed).as_mut(),
+                            SimConfig::over(horizon),
+                        );
+                        assert_eq!(
+                            lanes[si * spec.contenders().len() + ci],
+                            reference,
+                            "{horizon} {threads} threads lane ({seed}, {})",
+                            contender.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_lanes_match_the_per_lane_path_under_both_cadences() {
+        for horizon in HORIZONS.map(Seconds::new) {
+            for windowed in [false, true] {
+                let per_lane = {
+                    let config = ArenaConfig::over(horizon)
+                        .with_threads(1)
+                        .keep_lane_results();
+                    let config = if windowed {
+                        config.windowed_env()
+                    } else {
+                        config
+                    };
+                    run_arena(&step_only_spec(), config)
+                };
+                for threads in [1, 2, 3] {
+                    let config = ArenaConfig::over(horizon)
+                        .with_threads(threads)
+                        .keep_lane_results();
+                    let config = if windowed {
+                        config.windowed_env()
+                    } else {
+                        config
+                    };
+                    let replayed = run_arena(&boxed_spec(), config);
+                    let label = format!("{horizon} windowed={windowed} {threads} threads");
+                    assert_eq!(replayed.lane_results, per_lane.lane_results, "{label}");
+                    assert_eq!(replayed.summary, per_lane.summary, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn progress_counts_strictly_increase_to_the_total() {
+        let spec = boxed_spec().with_seeds(&[11, 12, 13, 14, 15]);
+        for threads in [1, 2, 3] {
+            let reports = std::sync::Mutex::new(Vec::new());
+            let progress = |done: u64, total: u64| {
+                assert_eq!(total, spec.lanes());
+                reports.lock().unwrap().push(done);
+            };
+            run_arena_controlled(
+                &spec,
+                ArenaConfig::over(Seconds::from_hours(1.0)).with_threads(threads),
+                FleetControl {
+                    cancel: None,
+                    progress: Some(&progress),
+                },
+            )
+            .expect("valid spec")
+            .expect("not cancelled");
+            let reports = reports.into_inner().unwrap();
+            assert!(
+                reports.windows(2).all(|w| w[0] < w[1]),
+                "{threads} threads: {reports:?}"
+            );
+            assert_eq!(reports.last(), Some(&spec.lanes()));
+        }
+    }
+
+    #[test]
+    fn cancellation_during_the_table_build_returns_none() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// An output stage that trips the shared token on the
+        /// `trip_at`-th `advance` across every platform built.
+        struct Tripwire {
+            inner: DcDcConverter,
+            token: CancelToken,
+            advances: Arc<AtomicU64>,
+            trip_at: u64,
+        }
+        impl mseh_power::PowerStage for Tripwire {
+            fn name(&self) -> &str {
+                "tripwire"
+            }
+            fn quiescent(&self) -> mseh_units::Watts {
+                self.inner.quiescent()
+            }
+            fn accepts_input_voltage(&self, v_in: Volts) -> bool {
+                self.inner.accepts_input_voltage(v_in)
+            }
+            fn output_voltage(&self) -> Volts {
+                self.inner.output_voltage()
+            }
+            fn output_for_input(&self, p: mseh_units::Watts, v: Volts) -> mseh_units::Watts {
+                self.inner.output_for_input(p, v)
+            }
+            fn input_for_output(&self, p: mseh_units::Watts, v: Volts) -> mseh_units::Watts {
+                self.inner.input_for_output(p, v)
+            }
+            fn advance(&mut self, _dt: Seconds) {
+                if self.advances.fetch_add(1, Ordering::SeqCst) + 1 == self.trip_at {
+                    self.token.cancel();
+                }
+            }
+        }
+
+        let token = CancelToken::new();
+        let advances = Arc::new(AtomicU64::new(0));
+        // One seed, 3 h at 60 s: 180 driver steps in 10-step windows;
+        // trip inside the third window.
+        let spec = {
+            let (token, advances) = (token.clone(), Arc::clone(&advances));
+            ArenaSpec::boxed(
+                "tripwire",
+                SensorNode::submilliwatt_class(),
+                move |_| {
+                    let mut unit = solar_unit();
+                    let (token, advances) = (token.clone(), Arc::clone(&advances));
+                    unit.instrument_output_stage(move |_| {
+                        Box::new(Tripwire {
+                            inner: DcDcConverter::buck_boost_3v3(),
+                            token,
+                            advances,
+                            trip_at: 25,
+                        })
+                    });
+                    Box::new(unit)
+                },
+                Environment::outdoor_temperate,
+            )
+            .with_contenders(mixed_roster())
+            .with_seeds(&[11])
+        };
+        let out = run_arena_controlled(
+            &spec,
+            ArenaConfig::over(Seconds::from_hours(3.0)),
+            FleetControl {
+                cancel: Some(&token),
+                progress: None,
+            },
+        )
+        .expect("valid spec");
+        assert!(out.is_none());
+        // The driver stopped at the next window edge; no lane stepped.
+        assert_eq!(advances.load(Ordering::SeqCst), 30);
     }
 
     #[test]

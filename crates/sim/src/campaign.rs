@@ -461,7 +461,9 @@ where
     } else {
         threads
     };
-    let done = std::sync::atomic::AtomicU64::new(0);
+    // Counted and reported under one lock, so concurrent workers report
+    // strictly increasing counts.
+    let done = std::sync::Mutex::new(0u64);
     let total = seeds.len() as u64;
     let outcomes = par_map_with(threads, seeds, |&seed| {
         if tripped(Some(cancel)) {
@@ -469,9 +471,10 @@ where
         }
         let outcome = run_scenario(seed, make_scenario(seed), node, config, Some(cancel));
         if outcome.is_some() {
-            let k = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            let mut done = done.lock().unwrap_or_else(|e| e.into_inner());
+            *done += 1;
             if let Some(report) = progress {
-                report(k, total);
+                report(*done, total);
             }
         }
         outcome
@@ -631,6 +634,37 @@ mod tests {
             None,
         );
         assert!(empty.is_err());
+    }
+
+    #[test]
+    fn progress_counts_strictly_increase_to_the_total() {
+        let seeds = [7, 8, 9, 10, 11];
+        let node = SensorNode::submilliwatt_class();
+        let config = CampaignConfig::over(Seconds::from_hours(1.0));
+        for threads in [1, 2, 3] {
+            let reports = std::sync::Mutex::new(Vec::new());
+            let progress = |done: u64, total: u64| {
+                assert_eq!(total, seeds.len() as u64);
+                reports.lock().unwrap().push(done);
+            };
+            run_resilience_campaign_cancellable(
+                threads,
+                &seeds,
+                scenario,
+                &node,
+                config,
+                &CancelToken::new(),
+                Some(&progress),
+            )
+            .expect("valid config")
+            .expect("token never tripped");
+            let reports = reports.into_inner().unwrap();
+            assert!(
+                reports.windows(2).all(|w| w[0] < w[1]),
+                "{threads} threads: {reports:?}"
+            );
+            assert_eq!(reports.last(), Some(&(seeds.len() as u64)));
+        }
     }
 
     #[test]

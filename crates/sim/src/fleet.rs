@@ -114,6 +114,7 @@ use crate::cancel::{tripped, CancelToken};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
+use mseh_core::BusHarvest;
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::{EnvConditions, EnvJitter, EnvSampler, Environment, JitterFactors};
 use mseh_harvesters::CacheStats;
@@ -876,19 +877,34 @@ impl NodeOutcome {
     }
 }
 
+/// Where [`simulate_node`] gets each step's harvest.
+pub(crate) enum HarvestSource<'a> {
+    /// Step the platform itself against the sampled condition rows,
+    /// jittered by `factors` when `jittered`.
+    Env {
+        rows: &'a [EnvConditions],
+        factors: &'a JitterFactors,
+        jittered: bool,
+    },
+    /// Replay the per-step harvest halves an identically built driver
+    /// solved (see [`Platform::split_step`]); `cache` is the driver's
+    /// kernel-cache counters, exactly what the node's own run reports.
+    Replay {
+        table: &'a [BusHarvest],
+        cache: CacheStats,
+    },
+}
+
 /// Runs one node's full trajectory. The loop body replicates
 /// `run_simulation`'s unobserved hot path step for step — same window
 /// structure, same accumulator order, same audit — so a per-step-cadence
 /// fleet node is bit-identical to a standalone run. Returns `None` when
 /// `cancel` trips, checked once per control window.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_node(
     platform: &mut dyn Platform,
     node: &SensorNode,
     policy: &mut dyn DutyCyclePolicy,
-    rows: &[EnvConditions],
-    factors: &JitterFactors,
-    jittered: bool,
+    source: &HarvestSource<'_>,
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
 ) -> Option<NodeOutcome> {
@@ -930,18 +946,30 @@ pub(crate) fn simulate_node(
                 }
                 _ => (plan.dt, demand.samples, load_energy),
             };
-            let base = match plan.cadence {
-                EnvCadence::PerStep => &rows[j as usize],
-                EnvCadence::PerWindow => &rows[window_ordinal],
+            let report = match *source {
+                HarvestSource::Env {
+                    rows,
+                    factors,
+                    jittered,
+                } => {
+                    let base = match plan.cadence {
+                        EnvCadence::PerStep => &rows[j as usize],
+                        EnvCadence::PerWindow => &rows[window_ordinal],
+                    };
+                    let local;
+                    let env = if jittered {
+                        local = factors.apply(base);
+                        &local
+                    } else {
+                        base
+                    };
+                    platform.step(env, step_dt, load)
+                }
+                HarvestSource::Replay { table, .. } => platform
+                    .split_step()
+                    .expect("a replayed platform splits like its driver")
+                    .replay(table[j as usize], step_dt, load),
             };
-            let local;
-            let env = if jittered {
-                local = factors.apply(base);
-                &local
-            } else {
-                base
-            };
-            let report = platform.step(env, step_dt, load);
 
             harvested += report.harvested;
             delivered += report.delivered;
@@ -1007,7 +1035,10 @@ pub(crate) fn simulate_node(
         residual_signed,
         throughput,
         stranded: platform.stranded_energy(),
-        cache: platform.kernel_cache_stats(),
+        cache: match *source {
+            HarvestSource::Env { .. } => platform.kernel_cache_stats(),
+            HarvestSource::Replay { cache, .. } => cache,
+        },
         interp_deviation: 0.0,
     })
 }
@@ -1702,13 +1733,16 @@ pub fn run_fleet_controlled(
                         if plan.quantize_drop_bits.is_some() {
                             platform.set_kernel_cache_quantization(plan.quantize_drop_bits);
                         }
+                        let source = HarvestSource::Env {
+                            rows: &tables[g.site],
+                            factors: &factors,
+                            jittered,
+                        };
                         match simulate_node(
                             platform.as_mut(),
                             &g.node,
                             policy.as_mut(),
-                            &tables[g.site],
-                            &factors,
-                            jittered,
+                            &source,
                             &plan,
                             cancel,
                         ) {

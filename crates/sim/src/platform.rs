@@ -72,6 +72,22 @@ pub trait Platform {
         let _ = drop_bits;
     }
 
+    /// The platform's step split into its harvest and settle halves:
+    /// `Some(unit)` when [`step`](Self::step) is exactly
+    /// [`PowerUnit::harvest`] followed by [`PowerUnit::settle`] on
+    /// `unit`.
+    ///
+    /// Contract: the harvest half depends only on how the platform was
+    /// built, the environment and the step widths — never on the load
+    /// or the store state. Engines may therefore solve it once on one
+    /// driver platform and [`PowerUnit::replay`] it on every
+    /// identically built twin. Default: `None`, "cannot split" —
+    /// platforms and forwarding wrappers that only implement `step`
+    /// keep the per-platform path.
+    fn split_step(&mut self) -> Option<&mut PowerUnit> {
+        None
+    }
+
     /// Whether this platform's shape matches the fleet engine's
     /// monomorphized dense-lane class (one channel-backed harvester
     /// port, one primary-buffer store, no shared-port fabric), so a
@@ -131,6 +147,10 @@ impl Platform for PowerUnit {
 
     fn supports_dense_kernels(&self) -> bool {
         PowerUnit::supports_dense_kernels(self)
+    }
+
+    fn split_step(&mut self) -> Option<&mut PowerUnit> {
+        Some(self)
     }
 }
 

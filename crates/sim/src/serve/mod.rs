@@ -553,6 +553,46 @@ mod tests {
         handle.wait();
     }
 
+    #[test]
+    fn finished_job_records_are_bounded_oldest_first() {
+        let handle = serve(
+            "127.0.0.1:0",
+            Arc::new(EchoRunner),
+            ServeConfig {
+                queue_capacity: 64,
+                workers: 1,
+                retry_after_ms: 1,
+            },
+        )
+        .expect("bind");
+        let mut client = Client::connect(handle.addr());
+        let jobs = registry::MAX_FINISHED_JOBS + 100;
+        let mut last = String::new();
+        for seed in 0..jobs {
+            loop {
+                let reply = client.roundtrip(&format!("submit kind=echo;seed={seed}"));
+                if reply.starts_with("ok ") {
+                    last = parse_id(&reply);
+                    break;
+                }
+                assert!(reply.starts_with("err code=queue_full"), "{reply}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // One worker drains the queue in order, so the newest job
+        // finishing means every job has.
+        let done = wait_done(&mut client, &last);
+        assert!(done.contains("state=done"), "{done}");
+        assert_eq!(handle.shared.job_records(), registry::MAX_FINISHED_JOBS);
+        assert!(client
+            .roundtrip("result id=job-1")
+            .starts_with("err code=unknown_job"));
+        assert!(client
+            .roundtrip("status id=job-1")
+            .starts_with("err code=unknown_job"));
+        handle.shutdown_and_wait();
+    }
+
     fn parse_reply(line: &str) -> super::protocol::Request {
         super::protocol::parse_line(line).unwrap().unwrap()
     }

@@ -1,7 +1,9 @@
 //! Shared daemon state: the bounded job queue, per-job records with
 //! buffered event lines, subscriber channels, and lifecycle
 //! transitions. One mutex guards the whole state; workers park on a
-//! condvar when the queue is empty.
+//! condvar when the queue is empty. Finished records are retained up to
+//! [`MAX_FINISHED_JOBS`], oldest evicted first, so a long-lived daemon's
+//! memory stays bounded.
 
 use super::protocol::format_line;
 use super::{JobOutput, StoredRun};
@@ -9,6 +11,11 @@ use crate::cancel::CancelToken;
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
+
+/// Terminal job records kept for `status`/`result`/`subscribe`; past
+/// this, the oldest finished record is evicted and its id answers
+/// `unknown_job`.
+pub(crate) const MAX_FINISHED_JOBS: usize = 1024;
 
 /// Lifecycle state of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,6 +107,8 @@ struct Inner {
     queue: VecDeque<String>,
     runs: HashMap<String, StoredRun>,
     jobs: HashMap<String, JobRecord>,
+    /// Ids of terminal records, oldest finished first.
+    finished: VecDeque<String>,
     next_id: u64,
     running: usize,
     shutdown: bool,
@@ -129,6 +138,7 @@ impl Shared {
                 queue: VecDeque::new(),
                 runs: HashMap::new(),
                 jobs: HashMap::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
                 running: 0,
                 shutdown: false,
@@ -220,8 +230,25 @@ impl Shared {
     pub(crate) fn complete(&self, id: &str, outcome: Outcome) {
         let mut inner = self.lock();
         inner.running = inner.running.saturating_sub(1);
-        if let Some(job) = inner.jobs.get_mut(id) {
-            Self::finish_record(id, job, outcome);
+        Self::finish(&mut inner, id, outcome);
+    }
+
+    /// Moves a live record to its terminal state and retires it into
+    /// the bounded finished list, evicting the oldest finished record
+    /// past [`MAX_FINISHED_JOBS`].
+    fn finish(inner: &mut Inner, id: &str, outcome: Outcome) {
+        let Some(job) = inner.jobs.get_mut(id) else {
+            return;
+        };
+        if job.state.is_terminal() {
+            return;
+        }
+        Self::finish_record(id, job, outcome);
+        inner.finished.push_back(id.to_string());
+        while inner.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = inner.finished.pop_front() {
+                inner.jobs.remove(&oldest);
+            }
         }
     }
 
@@ -280,8 +307,7 @@ impl Shared {
         if let Some(pos) = queued_pos {
             inner.queue.remove(pos);
             inner.runs.remove(id);
-            let job = inner.jobs.get_mut(id).expect("checked above");
-            Self::finish_record(id, job, Outcome::Cancelled);
+            Self::finish(&mut inner, id, Outcome::Cancelled);
             return Ok(JobState::Cancelled);
         }
         let job = inner.jobs.get_mut(id).expect("checked above");
@@ -351,9 +377,7 @@ impl Shared {
         let queued: Vec<String> = inner.queue.drain(..).collect();
         inner.runs.clear();
         for id in queued {
-            if let Some(job) = inner.jobs.get_mut(&id) {
-                Self::finish_record(&id, job, Outcome::Cancelled);
-            }
+            Self::finish(&mut inner, &id, Outcome::Cancelled);
         }
         for job in inner.jobs.values_mut() {
             if !job.state.is_terminal() {
@@ -366,5 +390,11 @@ impl Shared {
     /// Whether shutdown has begun.
     pub(crate) fn is_shutting_down(&self) -> bool {
         self.lock().shutdown
+    }
+
+    /// Job records currently held, live and finished.
+    #[cfg(test)]
+    pub(crate) fn job_records(&self) -> usize {
+        self.lock().jobs.len()
     }
 }

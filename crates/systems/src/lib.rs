@@ -131,6 +131,56 @@ pub fn all_systems() -> Vec<PowerUnit> {
 mod tests {
     use super::*;
     use mseh_core::classify;
+    use mseh_env::Environment;
+    use mseh_units::{Seconds, Watts};
+
+    /// Every attached store's state, formatted so equal strings mean
+    /// bit-equal values.
+    fn store_state(unit: &PowerUnit) -> Vec<String> {
+        unit.store_ports()
+            .iter()
+            .filter_map(|p| p.device())
+            .map(|d| {
+                format!(
+                    "{:?} {:?} {:?} {:?}",
+                    d.voltage(),
+                    d.stored_energy(),
+                    d.losses(),
+                    d.capacity()
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn harvest_then_settle_is_step_for_every_system() {
+        let dt = Seconds::new(60.0);
+        for id in SystemId::ALL {
+            for env in [
+                Environment::outdoor_temperate(7),
+                Environment::indoor_office(7),
+            ] {
+                let mut stepped = id.build();
+                let mut split = id.build();
+                for i in 0..1440u32 {
+                    let conditions = env.conditions(Seconds::new(f64::from(i) * 60.0));
+                    // Bursts that drain the stores between long idle
+                    // stretches that let them recharge.
+                    let load = Watts::from_milli(if i % 7 < 2 { 8.0 } else { 0.05 });
+                    let a = stepped.step(&conditions, dt, load);
+                    let harvest = split.harvest(&conditions, dt);
+                    let b = split.settle(harvest, dt, load);
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{id} step {i}");
+                }
+                assert_eq!(
+                    format!("{:?}", stepped.totals()),
+                    format!("{:?}", split.totals()),
+                    "{id}"
+                );
+                assert_eq!(store_state(&stepped), store_state(&split), "{id}");
+            }
+        }
+    }
 
     #[test]
     fn seven_distinct_platforms() {

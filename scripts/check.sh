@@ -213,6 +213,20 @@ printf '%s\n' "$fleet_smoke" | tail -n 1 | grep -q '"correct": true' || {
 }
 echo "ok: fleet-mixed reruns bit-identical, books closed"
 
+echo "==> survey-sweep correctness smoke (seed 4242, 2 s, traced)"
+# The traced half runs the boxed arenas through the benchmark's
+# forwarding platform, which cannot split its step, so every lane solves
+# its own harvest; the untraced half replays one driver's harvest table
+# per seed. The benchmark checks the two halves bit-identical before it
+# reports "correct": true, so this cross-checks both arena paths.
+survey_smoke="$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload survey-sweep --seed 4242 --seconds 2 --trace 1)"
+printf '%s\n' "$survey_smoke" | tail -n 1 | grep -q '"correct": true' || {
+    echo "FAIL: survey-sweep benchmark run reported incorrect results"
+    printf '%s\n' "$survey_smoke"
+    exit 1
+}
+echo "ok: survey-sweep traced and untraced halves bit-identical, books closed"
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --check
