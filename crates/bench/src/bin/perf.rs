@@ -38,7 +38,7 @@ use mseh_sim::{
     run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation, run_simulation_observed,
     ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup,
     DenseSolveTier, DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver,
-    Platform, SimConfig, SimResult, Tandem,
+    SimConfig, SimResult, Tandem,
 };
 use mseh_storage::{Battery, Supercap};
 use mseh_systems::{resilience, SystemId};
@@ -60,10 +60,6 @@ const OVERHEAD_REPS: usize = 15;
 const SEEDS: [u64; 16] = [
     3, 17, 101, 444, 1234, 9000, 31337, 99999, 7, 21, 55, 89, 144, 233, 377, 610,
 ];
-
-/// Mantissa bits dropped by the quantized kernel-cache key tier in the
-/// per-scenario-class hit-rate survey (relative input error < 2⁻⁸).
-const QUANTIZE_DROP_BITS: u32 = 44;
 
 /// Fixed scale for the batched-tier rate rows: the same population and
 /// horizon in quick and full mode, so check.sh's quick-vs-committed
@@ -505,10 +501,9 @@ fn main() {
     // noise. Every rep runs a fresh unit; results are identical by
     // determinism, so only the timing varies.
     let mut single_secs = f64::INFINITY;
-    let mut unit = SystemId::C.build();
     let mut result = None;
     for _ in 0..5 {
-        unit = SystemId::C.build();
+        let mut unit = SystemId::C.build();
         let mut policy = duty();
         let start = Instant::now();
         let rep = run_simulation(&mut unit, &env, &node, &mut policy, single_cfg);
@@ -521,90 +516,10 @@ fn main() {
     let result = result.expect("at least one rep ran");
     assert!(result.audit_residual < 1e-6);
     let steps_per_sec = steps as f64 / single_secs;
-    let cache_stats = Platform::kernel_cache_stats(&unit);
     println!(
         "single run : {single_days} days, {steps} steps in {single_secs:.3} s \
          ({steps_per_sec:.0} steps/s, recording on)"
     );
-    println!(
-        "kernelcache: {} hits / {} misses / {} invalidations (hit rate {:.3})",
-        cache_stats.hits,
-        cache_stats.misses,
-        cache_stats.invalidations,
-        cache_stats.hit_rate()
-    );
-
-    // --- Exactness gate: cached ≡ uncached, bit for bit. ------------
-    // Replaying the operating-point kernel cache must be invisible in
-    // the results; a fresh unit with caching disabled is the reference.
-    {
-        let mut cold = SystemId::C.build();
-        Platform::set_kernel_cache_enabled(&mut cold, false);
-        let mut cold_policy = duty();
-        let cold_result = run_simulation(&mut cold, &env, &node, &mut cold_policy, single_cfg);
-        assert_eq!(
-            Platform::kernel_cache_stats(&cold),
-            Default::default(),
-            "disabled cache still counted"
-        );
-        assert_eq!(
-            result, cold_result,
-            "kernel cache changed simulation results"
-        );
-        println!("determinism: cached run bit-identical to uncached reference (System C)");
-    }
-
-    // --- Quantized cache tier: hit rate per scenario class. ---------
-    // The exact tier keys on bit-exact conditions, so stochastic
-    // environments rarely repeat a key. The opt-in quantized tier drops
-    // low mantissa bits from the key (bounded relative input error
-    // < 2^(m-52)); this survey records what that buys per environment
-    // class, next to the aggregate deviation it costs. The exact-tier
-    // gate above is unaffected: quantization stays off by default.
-    type EnvPreset = fn(u64) -> Environment;
-    let scenario_classes: [(&str, EnvPreset); 5] = [
-        ("outdoor_temperate", Environment::outdoor_temperate),
-        ("outdoor_winter", Environment::outdoor_winter),
-        ("indoor_industrial", Environment::indoor_industrial),
-        ("indoor_office", Environment::indoor_office),
-        ("agricultural", Environment::agricultural),
-    ];
-    let class_cfg = SimConfig::over(Seconds::from_days(if quick { 0.5 } else { 2.0 }));
-    let mut class_rows = Vec::new();
-    for (class, make_env) in scenario_classes {
-        let class_env = make_env(4242);
-        let mut exact_unit = SystemId::C.build();
-        let mut policy = duty();
-        let exact = run_simulation(&mut exact_unit, &class_env, &node, &mut policy, class_cfg);
-        let exact_stats = Platform::kernel_cache_stats(&exact_unit);
-        let mut q_unit = SystemId::C.build();
-        Platform::set_kernel_cache_quantization(&mut q_unit, Some(QUANTIZE_DROP_BITS));
-        let mut policy = duty();
-        let quantized = run_simulation(&mut q_unit, &class_env, &node, &mut policy, class_cfg);
-        let q_stats = Platform::kernel_cache_stats(&q_unit);
-        assert!(quantized.audit_residual < 1e-6);
-        let harvested_dev = (quantized.harvested.value() - exact.harvested.value()).abs()
-            / exact.harvested.value().abs().max(1e-12);
-        println!(
-            "quantized  : {class:<18} exact hit rate {:.3}, quantized {:.3} \
-             ({} hits), harvested dev {harvested_dev:.2e}",
-            exact_stats.hit_rate(),
-            q_stats.hit_rate(),
-            q_stats.hits,
-        );
-        class_rows.push((
-            class,
-            exact_stats.hit_rate(),
-            q_stats.hits,
-            q_stats.hit_rate(),
-            harvested_dev,
-        ));
-    }
-    assert!(
-        class_rows.iter().any(|row| row.2 > 0),
-        "quantized tier produced zero hits on every stochastic scenario class"
-    );
-
     // --- Observability overhead: bare vs no-op vs instrumented. -----
     // Attachments are interleaved per rep so host-load drift hits all
     // three alike, and each keeps its minimum.
@@ -833,12 +748,11 @@ fn main() {
         let rate = summary.node_steps as f64 / seconds;
         println!(
             "fleet      : {name}: {} nodes \u{d7} {} steps in {seconds:.3} s \
-             ({:.2} M node-steps/s, \u{d7}{:.1} vs single run, cache hit rate {:.3})",
+             ({:.2} M node-steps/s, \u{d7}{:.1} vs single run)",
             summary.population,
             summary.steps_per_node,
             rate / 1e6,
             rate / steps_per_sec,
-            summary.kernel_cache.hit_rate(),
         );
         fleet_rows.push(FleetRow {
             name,
@@ -850,9 +764,7 @@ fn main() {
 
     // --- Dense supercap lane: batched vs scalar solve tiers. --------
     // The batched struct-of-arrays tier must reproduce the scalar tier
-    // bit for bit (the check.sh identity smoke rides on this assert);
-    // the interpolated tier is reported alongside with the worst-case
-    // table deviation it recorded against the exact solve.
+    // bit for bit (the check.sh identity smoke rides on this assert).
     let (cap_n, cap_h) = if quick { (5_000, 2.0) } else { (50_000, 24.0) };
     let cap_spec = dense_supercap_fleet_spec(cap_n);
     let cap_horizon = Seconds::from_hours(cap_h);
@@ -864,24 +776,15 @@ fn main() {
         &cap_spec,
         FleetConfig::over(cap_horizon).with_dense_tier(DenseSolveTier::Scalar),
     );
-    // Un-jittered dense groups replay the shared harvest table on both
-    // tiers, so even the cache counters agree: full summary equality.
     assert_eq!(
         cap_summary, cap_scalar_summary,
         "batched supercap tier diverged from the scalar reference"
     );
     assert!(cap_summary.audit_relative < 1e-6);
     assert!(cap_summary.worst_node_audit < 1e-6);
-    let (cap_interp_secs, cap_interp_summary) = time_fleet(
-        &cap_spec,
-        FleetConfig::over(cap_horizon)
-            .with_dense_tier(DenseSolveTier::Interpolated { samples: 4096 }),
-    );
-    assert!(cap_interp_summary.audit_relative < 1e-6);
-    assert!(cap_interp_summary.worst_node_audit < 1e-6);
     // The gated rate row runs at the fixed baseline scale in both modes
     // (see BATCHED_RATE_NODES) so check.sh compares identical specs;
-    // the equality assert and the scalar/interp references above stay
+    // the equality assert and the scalar reference above stay
     // at the mode's budget. In full mode the equality spec is smaller
     // only because its scalar reference is per-node-bound.
     let cap_rate_horizon = Seconds::from_hours(BATCHED_RATE_HOURS);
@@ -896,16 +799,13 @@ fn main() {
     let cap_steps_per_node = cap_rate_summary.steps_per_node;
     let cap_rate = cap_rate_summary.node_steps as f64 / cap_rate_secs;
     let cap_scalar_rate = cap_scalar_summary.node_steps as f64 / cap_scalar_secs;
-    let cap_interp_rate = cap_interp_summary.node_steps as f64 / cap_interp_secs;
     let cap_speedup = cap_rate / cap_scalar_rate;
     println!(
         "fleet      : dense solar+EDLC (supercap class): {cap_population} nodes \u{d7} \
          {cap_steps_per_node} steps, batched {:.2} M node-steps/s vs scalar {:.2} M \
-         (\u{d7}{cap_speedup:.1}), interp {:.2} M at {:.2e} max deviation, batched \u{2261} scalar",
+         (\u{d7}{cap_speedup:.1}), batched \u{2261} scalar",
         cap_rate / 1e6,
         cap_scalar_rate / 1e6,
-        cap_interp_rate / 1e6,
-        cap_interp_summary.interp_max_deviation,
     );
     fleet_rows.push(FleetRow {
         name: "dense solar+EDLC (supercap class)",
@@ -931,8 +831,6 @@ fn main() {
         &batt_spec,
         FleetConfig::over(batt_horizon).with_dense_tier(DenseSolveTier::Scalar),
     );
-    // Un-jittered dense groups replay the shared harvest table on both
-    // tiers, so even the cache counters agree: full summary equality.
     assert_eq!(
         batt_summary, batt_scalar_summary,
         "batched battery tier diverged from the scalar reference"
@@ -963,9 +861,8 @@ fn main() {
     );
 
     // --- Boxed opt-in: the same battery class via with_dense_class. --
-    // The opted-in group must agree with the plain boxed path on every
-    // physical quantity (cache counters are synthesized on the lane
-    // side, so the comparison is modulo kernel_cache).
+    // The opted-in group must agree with the plain boxed path in full
+    // summary equality.
     let (opt_n, opt_h) = if quick { (2_000, 2.0) } else { (20_000, 6.0) };
     let opt_horizon = Seconds::from_hours(opt_h);
     let (optin_secs, optin_summary) = time_fleet(
@@ -976,13 +873,8 @@ fn main() {
         &boxed_battery_fleet_spec(opt_n, false),
         FleetConfig::over(opt_horizon),
     );
-    let strip_cache = |mut s: FleetSummary| {
-        s.kernel_cache = Default::default();
-        s
-    };
     assert_eq!(
-        strip_cache(optin_summary.clone()),
-        strip_cache(plainbox_summary.clone()),
+        optin_summary, plainbox_summary,
         "opted-in boxed group diverged from the plain boxed path"
     );
     assert!(optin_summary.audit_relative < 1e-6);
@@ -994,7 +886,7 @@ fn main() {
     println!(
         "fleet      : boxed solar+NiMH opt-in: {optin_population} nodes, opted-in {:.2} M \
          node-steps/s vs plain boxed {:.2} M (\u{d7}{optin_speedup:.1}), \
-         opted-in \u{2261} boxed modulo cache counters",
+         opted-in \u{2261} boxed",
         optin_rate / 1e6,
         plainbox_rate / 1e6,
     );
@@ -1156,7 +1048,7 @@ fn main() {
     // --- Emit BENCH_sim.json. ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v8\",");
+    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v9\",");
     let _ = writeln!(
         json,
         "  \"scenario\": \"System C, outdoor temperate, 60 s steps, fixed 5% duty\","
@@ -1174,41 +1066,6 @@ fn main() {
     let _ = writeln!(json, "    \"steps\": {steps},");
     let _ = writeln!(json, "    \"seconds\": {single_secs:.6},");
     let _ = writeln!(json, "    \"steps_per_sec\": {steps_per_sec:.1}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"kernel_cache\": {{");
-    let _ = writeln!(json, "    \"hits\": {},", cache_stats.hits);
-    let _ = writeln!(json, "    \"misses\": {},", cache_stats.misses);
-    let _ = writeln!(
-        json,
-        "    \"invalidations\": {},",
-        cache_stats.invalidations
-    );
-    let _ = writeln!(json, "    \"hit_rate\": {:.6},", cache_stats.hit_rate());
-    let _ = writeln!(json, "    \"cached_matches_uncached\": true,");
-    let _ = writeln!(json, "    \"quantized_tier\": {{");
-    let _ = writeln!(json, "      \"drop_bits\": {QUANTIZE_DROP_BITS},");
-    let _ = writeln!(
-        json,
-        "      \"max_rel_input_error\": {:.3e},",
-        (2f64).powi(QUANTIZE_DROP_BITS as i32 - 52)
-    );
-    let _ = writeln!(
-        json,
-        "      \"scenario\": \"System C, seed 4242, {} days, fixed 5% duty\",",
-        class_cfg.duration.value() / 86_400.0
-    );
-    let _ = writeln!(json, "      \"by_scenario_class\": [");
-    for (i, (class, exact_rate, q_hits, q_rate, harvested_dev)) in class_rows.iter().enumerate() {
-        let comma = if i + 1 < class_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "        {{ \"class\": \"{class}\", \"exact_hit_rate\": {exact_rate:.6}, \
-             \"quantized_hits\": {q_hits}, \"quantized_hit_rate\": {q_rate:.6}, \
-             \"harvested_rel_dev_vs_exact\": {harvested_dev:.3e} }}{comma}"
-        );
-    }
-    let _ = writeln!(json, "      ]");
-    let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"instrumentation\": {{");
     let _ = writeln!(json, "    \"days\": {overhead_days},");
@@ -1295,11 +1152,6 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "        \"cache_hit_rate\": {:.6},",
-            s.kernel_cache.hit_rate()
-        );
-        let _ = writeln!(
-            json,
             "        \"energy_neutral_fraction\": {:.6},",
             s.energy_neutral_fraction
         );
@@ -1331,16 +1183,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "      \"dense_supercap_speedup_vs_scalar\": {cap_speedup:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "      \"interpolated_node_steps_per_sec\": {cap_interp_rate:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "      \"interp_max_deviation\": {:.3e}",
-        cap_interp_summary.interp_max_deviation
+        "      \"dense_supercap_speedup_vs_scalar\": {cap_speedup:.2}"
     );
     let _ = writeln!(json, "    }},");
     let _ = writeln!(json, "    \"dense_battery_batched\": {{");
@@ -1370,7 +1213,7 @@ fn main() {
     );
     let _ = writeln!(json, "      \"boxed_opt_in\": {{");
     let _ = writeln!(json, "        \"population\": {optin_population},");
-    let _ = writeln!(json, "        \"matches_plain_boxed_modulo_cache\": true,");
+    let _ = writeln!(json, "        \"matches_plain_boxed\": true,");
     let _ = writeln!(
         json,
         "        \"boxed_opt_in_node_steps_per_sec\": {optin_rate:.1},"

@@ -9,7 +9,7 @@
 //! public contract and is property-tested).
 
 use mseh_env::EnvConditions;
-use mseh_harvesters::{CacheStats, Transducer};
+use mseh_harvesters::Transducer;
 use mseh_node::{EnergyStatus, MonitoringLevel};
 use mseh_power::{InputChannel, PowerStage};
 use mseh_storage::Storage;
@@ -647,44 +647,6 @@ impl PowerUnit {
         (fired, cleared)
     }
 
-    /// Aggregated operating-point kernel-cache counters across every
-    /// input channel (channel step memos plus harvester solve caches).
-    pub fn kernel_cache_stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for port in &self.harvester_ports {
-            if let Some(channel) = port.channel.as_ref() {
-                stats.merge(channel.kernel_cache_stats());
-            }
-        }
-        stats
-    }
-
-    /// Enables or disables the operating-point kernel caches on every
-    /// input channel. Disabling drops all stored entries, so a disabled
-    /// unit solves every step from scratch (the uncached reference path
-    /// the perf harness compares against).
-    pub fn set_kernel_cache_enabled(&mut self, enabled: bool) {
-        for port in &mut self.harvester_ports {
-            if let Some(channel) = port.channel.as_mut() {
-                channel.set_cache_enabled(enabled);
-            }
-        }
-    }
-
-    /// Selects the kernel cache's key tier on every input channel:
-    /// `None` is the exact tier (bit-identical replays), `Some(m)` the
-    /// opt-in quantized tier that truncates `m` low mantissa bits of
-    /// each sensed ambient field before keying and solving (see
-    /// [`InputChannel::set_cache_quantization`] for the ULP-bounded
-    /// error contract). Switching tiers flushes all solve memos.
-    pub fn set_kernel_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        for port in &mut self.harvester_ports {
-            if let Some(channel) = port.channel.as_mut() {
-                channel.set_cache_quantization(drop_bits);
-            }
-        }
-    }
-
     /// Energy currently stranded inside attached stores by active faults
     /// (content that physically exists but cannot be delivered).
     pub fn stranded_energy(&self) -> Joules {
@@ -814,14 +776,27 @@ impl PowerUnit {
         }
     }
 
+    /// Whether, from the unit's current state, another
+    /// [`harvest`](Self::harvest) with the same conditions and width
+    /// `dt` is guaranteed to return the same [`BusHarvest`] and leave the
+    /// channels as they are: every attached channel is replayable
+    /// ([`InputChannel::is_replayable`]). When it holds,
+    /// [`replay`](Self::replay)ing the previous harvest (which still ages
+    /// the output stage) is bit-identical to stepping.
+    pub fn is_harvest_replayable(&self, dt: Seconds) -> bool {
+        self.harvester_ports
+            .iter()
+            .filter_map(|p| p.channel.as_ref())
+            .all(|channel| channel.is_replayable(dt))
+    }
+
     /// Replays a harvest half an identically built twin solved for this
     /// step: ages this unit's own output stage as
     /// [`harvest`](Self::harvest) would, without stepping a channel,
     /// then [`settle`](Self::settle)s. Bit-identical to
     /// [`step`](Self::step) on this unit as long as the twin saw the
     /// same conditions and step widths. The unit's own channels stay
-    /// untouched, so their state and cache counters are the twin's to
-    /// report.
+    /// untouched.
     pub fn replay(&mut self, harvest: BusHarvest, dt: Seconds, load: Watts) -> StepReport {
         self.output.advance(dt);
         self.settle(harvest, dt, load)

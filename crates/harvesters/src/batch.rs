@@ -11,9 +11,8 @@
 //! For every lane `i`, `voc_lanes` must produce **exactly** the bits
 //! [`Transducer::open_circuit_voltage`](crate::Transducer::open_circuit_voltage)
 //! would return for `envs[i]` — same iteration arithmetic, same guard
-//! paths, same dead-source zeros — while bypassing the harvester's
-//! [`SolveCache`](crate::SolveCache) entirely (no memo churn, no stats
-//! mutation). Batched and scalar simulation tiers stay bit-identical
+//! paths, same dead-source zeros. Batched and scalar simulation tiers
+//! stay bit-identical
 //! because the batch kernels replicate the scalar iterate sequence under
 //! a convergence mask instead of inventing a new numerical scheme; see
 //! [`BatchSolve`](mseh_units::BatchSolve) for the masking rules.
@@ -32,7 +31,7 @@ pub trait VocBatch {
     ///
     /// Each lane must match the scalar
     /// [`open_circuit_voltage`](crate::Transducer::open_circuit_voltage)
-    /// bit for bit, with the solve cache bypassed (counters untouched).
+    /// bit for bit.
     ///
     /// # Panics
     ///
@@ -123,16 +122,6 @@ mod tests {
             assert_lanes_match_scalar(&Teg::module_40mm(), seed);
             assert_lanes_match_scalar(&Teg::thin_film(), seed);
         }
-    }
-
-    #[test]
-    fn batch_kernels_leave_the_solve_cache_cold() {
-        let pv = PvModule::outdoor_panel_half_watt();
-        let envs = env_sweep(5, 64);
-        let mut out = vec![0.0; envs.len()];
-        pv.voc_batch().unwrap().voc_lanes(&envs, &mut out);
-        let stats = pv.solve_cache().unwrap().stats();
-        assert_eq!(stats.hits + stats.misses, 0, "batch pass touched the cache");
     }
 
     #[test]

@@ -41,7 +41,6 @@
 
 mod acdc;
 mod batch;
-mod cache;
 mod kind;
 mod pv;
 mod rf;
@@ -53,7 +52,6 @@ mod wind;
 
 pub use acdc::AcDcInput;
 pub use batch::VocBatch;
-pub use cache::{CacheStats, SolveCache};
 pub use kind::HarvesterKind;
 pub use mseh_units::BatchSolve;
 pub use pv::{PvModule, PvVocSolver};

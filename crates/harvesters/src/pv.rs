@@ -6,7 +6,6 @@
 //! fixed-point compromise of System B trades away (experiment E3).
 
 use crate::batch::VocBatch;
-use crate::cache::SolveCache;
 use crate::kind::HarvesterKind;
 use crate::transducer::Transducer;
 use mseh_env::EnvConditions;
@@ -62,8 +61,6 @@ pub struct PvModule {
     /// parameters, precomputed at construction so the I–V hot path pays
     /// one `exp` instead of two.
     i0: f64,
-    /// Operating-point solve cache (equality- and clone-transparent).
-    cache: SolveCache,
 }
 
 impl PvModule {
@@ -100,7 +97,6 @@ impl PvModule {
             ideality,
             r_shunt,
             i0,
-            cache: SolveCache::new(),
         }
     }
 
@@ -408,30 +404,11 @@ impl Transducer for PvModule {
         if iph <= 0.0 {
             return Volts::ZERO;
         }
-        let v = self.cache.voc(Transducer::env_signature(self, env), || {
-            self.solve_voc(iph, self.vt_stack(env))
-        });
-        Volts::new(v)
-    }
-
-    fn solve_cache(&self) -> Option<&SolveCache> {
-        Some(&self.cache)
+        Volts::new(self.solve_voc(iph, self.vt_stack(env)))
     }
 
     fn voc_batch(&self) -> Option<&dyn VocBatch> {
         Some(self)
-    }
-
-    fn env_signature(&self, env: &EnvConditions) -> [u64; 4] {
-        // Every ambient field the I–V curve reads: irradiance and
-        // illuminance (photocurrent), ambient temperature (thermal
-        // voltage). Never `env.time`.
-        [
-            env.irradiance.value().to_bits(),
-            env.illuminance.value().to_bits(),
-            env.ambient.value().to_bits(),
-            0,
-        ]
     }
 }
 
@@ -549,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_conditions_hit_the_cache_bit_identically() {
+    fn repeated_conditions_solve_bit_identically() {
         let pv = PvModule::outdoor_panel_half_watt();
         let env = stc();
         let voc1 = pv.open_circuit_voltage(&env);
@@ -565,18 +542,13 @@ mod tests {
             mpp1.current.value().to_bits(),
             mpp2.current.value().to_bits()
         );
-        let stats = pv.cache.stats();
-        assert!(stats.hits >= 2, "{stats:?}");
-        // `env.time` is not part of the key: advancing the clock under
-        // identical ambients still hits (the slot is single-entry, so
-        // this runs before any key change evicts it).
+        // The solve never reads `env.time`: advancing the clock under
+        // identical ambients gives the same bits.
         let mut later = env;
         later.time = Seconds::from_hours(3.0);
-        let hits_before = pv.cache.stats().hits;
         let voc4 = pv.open_circuit_voltage(&later);
         assert_eq!(voc1.value().to_bits(), voc4.value().to_bits());
-        assert!(pv.cache.stats().hits > hits_before);
-        // A changed condition misses and re-solves.
+        // A changed condition gives a different solve.
         let mut warmer = env;
         warmer.ambient = Celsius::new(26.0);
         let voc3 = pv.open_circuit_voltage(&warmer);

@@ -2,7 +2,6 @@
 //! current source, with derived operating-point analysis.
 
 use crate::batch::VocBatch;
-use crate::cache::SolveCache;
 use crate::kind::HarvesterKind;
 use mseh_env::EnvConditions;
 use mseh_units::{Amps, Volts, Watts};
@@ -55,33 +54,11 @@ pub trait Transducer: Send + Sync {
     /// `current_at` reaches zero).
     fn open_circuit_voltage(&self, env: &EnvConditions) -> Volts;
 
-    /// The harvester's operating-point solve cache, when it carries one.
-    ///
-    /// Implementations that return `Some` MUST also override
-    /// [`env_signature`](Self::env_signature) to cover *every* ambient
-    /// field their I–V curve reads — the cache serves any key match
-    /// verbatim, so a field missing from the signature silently aliases
-    /// distinct conditions. Wrappers whose output depends on anything
-    /// beyond the inner device's sensed fields (fault injectors reading
-    /// `env.time`) must NOT forward the inner cache.
-    fn solve_cache(&self) -> Option<&SolveCache> {
-        None
-    }
-
-    /// The exact bit-pattern key identifying `env` for this harvester:
-    /// the IEEE-754 bits of the ambient fields its curve depends on
-    /// (never `env.time`, which changes every step). Only meaningful on
-    /// implementations that return `Some` from
-    /// [`solve_cache`](Self::solve_cache).
-    fn env_signature(&self, _env: &EnvConditions) -> [u64; 4] {
-        [0; 4]
-    }
-
     /// The harvester's batched open-circuit-voltage kernel, when it has
     /// one. Lanes produced through it are bit-identical to
-    /// [`open_circuit_voltage`](Self::open_circuit_voltage) but bypass
-    /// the solve cache; the fleet engine's struct-of-arrays tier only
-    /// engages for harvesters that return `Some`. Wrappers that perturb
+    /// [`open_circuit_voltage`](Self::open_circuit_voltage); the fleet
+    /// engine's struct-of-arrays tier only engages for harvesters that
+    /// return `Some`. Wrappers that perturb
     /// the inner device's output (fault injection, degradation) must NOT
     /// forward the inner kernel.
     fn voc_batch(&self) -> Option<&dyn VocBatch> {
@@ -91,8 +68,8 @@ pub trait Transducer: Send + Sync {
     /// Whether this harvester's output is a pure function of the sensed
     /// ambient fields — i.e. independent of `env.time` and of any hidden
     /// internal state. Fault-injection and degradation wrappers override
-    /// this to `false`; the channel-level memo refuses to reuse a solve
-    /// across steps when any component in the chain is time-varying.
+    /// this to `false`; a channel with any time-varying component in its
+    /// chain is never replayed from a per-window harvest table.
     fn is_time_invariant(&self) -> bool {
         true
     }
@@ -108,34 +85,25 @@ pub trait Transducer: Send + Sync {
     }
 
     /// The maximum-power point under `env`, found by golden-section search
-    /// over `[0, Voc]` (memoized through [`solve_cache`](Self::solve_cache)
-    /// when the harvester carries one — a repeat of the exact same
-    /// conditions returns the stored point bit-identically).
+    /// over `[0, Voc]`.
     ///
     /// For a concave power curve this converges to the true MPP; for the
     /// piecewise curves used here it lands within the numeric tolerance.
     /// Returns a zero point when the source is dead. The result is a pure
     /// function of `env` — never of solve history.
     fn mpp(&self, env: &EnvConditions) -> OperatingPoint {
-        let solve = || {
-            let voc = self.open_circuit_voltage(env);
-            if voc <= Volts::ZERO {
-                return (0.0, 0.0);
-            }
-            let v = golden_section_max(
-                |v| self.power_at(Volts::new(v), env).value(),
-                0.0,
-                voc.value(),
-            );
-            (v, self.current_at(Volts::new(v), env).value())
-        };
-        let (v, i) = match self.solve_cache() {
-            Some(cache) => cache.mpp(self.env_signature(env), solve),
-            None => solve(),
-        };
+        let voc = self.open_circuit_voltage(env);
+        if voc <= Volts::ZERO {
+            return OperatingPoint::default();
+        }
+        let v = Volts::new(golden_section_max(
+            |v| self.power_at(Volts::new(v), env).value(),
+            0.0,
+            voc.value(),
+        ));
         OperatingPoint {
-            voltage: Volts::new(v),
-            current: Amps::new(i),
+            voltage: v,
+            current: self.current_at(v, env),
         }
     }
 

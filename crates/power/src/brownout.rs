@@ -141,8 +141,8 @@ impl PowerStage for BrownoutConverter {
 
     fn is_time_invariant(&self) -> bool {
         // The transfer function flips with operating time as windows fire
-        // and clear, so memoised channel results must never replay across
-        // an `advance`.
+        // and clear, so channel results must never replay across an
+        // `advance`.
         false
     }
 }

@@ -5,7 +5,7 @@
 use crate::mppt::{OperatingPointController, WindowChoice};
 use crate::stage::PowerStage;
 use mseh_env::EnvConditions;
-use mseh_harvesters::{CacheStats, Transducer};
+use mseh_harvesters::Transducer;
 use mseh_units::{Seconds, Volts, Watts};
 
 /// The outcome of one input-channel step.
@@ -65,30 +65,8 @@ pub struct InputChannel {
     controller: Box<dyn OperatingPointController>,
     protection: Box<dyn PowerStage>,
     converter: Box<dyn PowerStage>,
-    /// Memoised result of the last fully-solved replayable step, keyed on
-    /// the exact ambient bit pattern and the step width.
-    memo: Option<ChannelMemo>,
-    cache_enabled: bool,
-    /// When set, the memo keys on — and the solve runs against — ambient
-    /// snapshots with this many low mantissa bits truncated per field
-    /// (the opt-in quantized key tier). `None` is the exact tier.
-    quantize_drop_bits: Option<u32>,
-    memo_hits: u64,
-    memo_misses: u64,
-    memo_invalidations: u64,
     /// Scratch for batched window solves: per-lane open-circuit voltages.
     lane_voc: Vec<f64>,
-    /// Scratch for batched window solves: quantized-tier snapshots.
-    lane_env: Vec<EnvConditions>,
-}
-
-/// One memoised channel step. Replaying it is sound only when the
-/// controller's choice is a pure function of `(env, dt)` and every block
-/// in the chain is time-invariant — `step` checks both before looking.
-#[derive(Debug, Clone, Copy)]
-struct ChannelMemo {
-    key: ([u64; 9], u64),
-    step: HarvestStep,
 }
 
 impl InputChannel {
@@ -104,14 +82,7 @@ impl InputChannel {
             controller,
             protection,
             converter,
-            memo: None,
-            cache_enabled: true,
-            quantize_drop_bits: None,
-            memo_hits: 0,
-            memo_misses: 0,
-            memo_invalidations: 0,
             lane_voc: Vec::new(),
-            lane_env: Vec::new(),
         }
     }
 
@@ -126,109 +97,34 @@ impl InputChannel {
     }
 
     /// Replaces the harvester (a hardware swap), returning the old one.
-    /// Flushes every solve memo: results solved for the old device must
-    /// not answer for the new one.
     pub fn swap_harvester(&mut self, new: Box<dyn Transducer>) -> Box<dyn Transducer> {
-        let old = core::mem::replace(&mut self.harvester, new);
-        self.invalidate_solve_memos();
-        old
+        core::mem::replace(&mut self.harvester, new)
     }
 
-    /// Drops the channel memo and the harvester's operating-point cache
-    /// (hot-swap, instrumentation wrap, fault fire/clear).
-    pub fn invalidate_solve_memos(&mut self) {
-        if self.memo.take().is_some() {
-            self.memo_invalidations += 1;
-        }
-        if let Some(cache) = self.harvester.solve_cache() {
-            cache.invalidate();
-        }
-        // Propagate the enabled switch to whatever is now in the slot so a
-        // disabled channel stays fully disabled across swaps.
-        if let Some(cache) = self.harvester.solve_cache() {
-            cache.set_enabled(self.cache_enabled);
-        }
-    }
-
-    /// Enables or disables both layers of the channel's kernel cache
-    /// (the step memo and the harvester's solve cache). Disabling drops
-    /// any stored entries so a later re-enable starts cold.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        self.memo = None;
-        if let Some(cache) = self.harvester.solve_cache() {
-            cache.set_enabled(enabled);
-        }
-    }
-
-    /// Whether the channel's kernel cache is serving memoized results.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Selects the kernel cache's key tier. `None` (the default) is the
-    /// exact tier: memo keys are the untouched ambient bit patterns and
-    /// replays are bit-identical to fresh solves. `Some(m)` enables the
-    /// quantized tier: before keying *and* solving, the snapshot's
-    /// sensed fields are truncated by `m` low mantissa bits
-    /// ([`EnvConditions::quantize_mantissa`]), so a stochastic
-    /// environment whose fields wander within one bucket still replays.
+    /// Whether, *from the channel's current state*, two [`step`] calls
+    /// with identical `(env, dt)` are guaranteed to return bit-identical
+    /// [`HarvestStep`]s and leave the channel in the same state — the
+    /// replay contract.
     ///
-    /// The error contract is ULP-bounded on the input: each field moves
-    /// by a relative amount below `2^(m−52)` and the replayed step is the
-    /// exact solve of that quantized snapshot — the quantized tier is
-    /// verifiable against the exact path by re-solving the quantized
-    /// input. Switching tiers flushes all solve memos.
-    pub fn set_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        let normalized = drop_bits.filter(|&m| m > 0).map(|m| m.min(52));
-        if self.quantize_drop_bits != normalized {
-            self.quantize_drop_bits = normalized;
-            self.invalidate_solve_memos();
-        }
-    }
-
-    /// The active quantized-tier width (`None` = exact tier).
-    pub fn cache_quantization(&self) -> Option<u32> {
-        self.quantize_drop_bits
-    }
-
-    /// Whether, *from the channel's current state*, a repeat [`step`]
-    /// under identical conditions and the same `dt` is guaranteed to be a
-    /// memo replay (bit-identical, no fresh solve).
-    ///
-    /// This holds when the cache is enabled, the controller's choice is a
-    /// pure function of `(env, dt)` in its current state, and every block
-    /// in the chain is time-invariant. The fleet engine's dense lane uses
-    /// this to prove that driving one representative channel once per
-    /// control window reproduces each member node's per-step channel
-    /// outputs exactly.
+    /// This holds when the controller's choice is a pure function of
+    /// `(env, dt)` in its current state
+    /// ([`is_env_pure`](OperatingPointController::is_env_pure)) and every
+    /// block in the chain is time-invariant. Dense fleet groups and dense
+    /// policy arenas use this to prove that a per-window harvest table,
+    /// solved once on one representative channel, reproduces each
+    /// member's per-step channel outputs exactly.
     ///
     /// [`step`]: InputChannel::step
     pub fn is_replayable(&self, dt: Seconds) -> bool {
-        self.cache_enabled
-            && self.controller.is_env_pure(dt)
-            && self.harvester.is_time_invariant()
+        self.controller.is_env_pure(dt) && self.is_time_invariant()
+    }
+
+    /// Whether harvester, protection and converter are all
+    /// time-invariant.
+    fn is_time_invariant(&self) -> bool {
+        self.harvester.is_time_invariant()
             && self.protection.is_time_invariant()
             && self.converter.is_time_invariant()
-    }
-
-    /// Counters for the channel step memo alone (no harvester cache).
-    pub fn memo_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.memo_hits,
-            misses: self.memo_misses,
-            invalidations: self.memo_invalidations,
-        }
-    }
-
-    /// Combined kernel-cache counters: the channel step memo plus the
-    /// harvester's operating-point solve cache.
-    pub fn kernel_cache_stats(&self) -> CacheStats {
-        let mut stats = self.memo_stats();
-        if let Some(cache) = self.harvester.solve_cache() {
-            stats.merge(cache.stats());
-        }
-        stats
     }
 
     /// Rebuilds the harvester in place through `wrap` — simulation
@@ -257,7 +153,6 @@ impl InputChannel {
         }
         let old = core::mem::replace(&mut self.harvester, Box::new(Placeholder));
         self.harvester = wrap(old);
-        self.invalidate_solve_memos();
     }
 
     /// Rebuilds the front-end converter in place through `wrap` (e.g.
@@ -289,7 +184,6 @@ impl InputChannel {
         }
         let old = core::mem::replace(&mut self.converter, Box::new(Placeholder));
         self.converter = wrap(old);
-        self.invalidate_solve_memos();
     }
 
     /// Cumulative `(fired, cleared)` fault counts across the channel's
@@ -313,62 +207,12 @@ impl InputChannel {
         self.converter.quiescent() + self.protection.quiescent()
     }
 
-    /// Runs the channel for `dt` under `env`.
-    ///
-    /// When every block in the chain is provably quasi-static for this
-    /// step — the controller's choice is a pure function of `(env, dt)`
-    /// and harvester, protection and converter are time-invariant — the
-    /// result is memoised on the exact ambient bit pattern, and a repeat
-    /// of the same conditions replays the stored step verbatim
-    /// (bit-identical by construction) instead of re-solving.
+    /// Runs the channel for `dt` under `env`: every call solves.
     pub fn step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
         // Stages with internal clocks (scheduled-brownout wrappers) age
         // by operating time.
         self.protection.advance(dt);
         self.converter.advance(dt);
-        if self.cache_enabled
-            && self.controller.is_env_pure(dt)
-            && self.harvester.is_time_invariant()
-            && self.protection.is_time_invariant()
-            && self.converter.is_time_invariant()
-        {
-            // Quantized tier: key *and* solve on the truncated snapshot,
-            // so a replay is the exact solve of the same input the miss
-            // path saw — self-consistent by construction.
-            return match self.quantize_drop_bits {
-                Some(bits) => {
-                    let q = env.quantize_mantissa(bits);
-                    self.memo_step(&q, dt)
-                }
-                None => self.memo_step(env, dt),
-            };
-        }
-        self.solve_step(env, dt)
-    }
-
-    /// The memoized step path: replay on a key match, otherwise solve
-    /// `env` (already quantized when the quantized tier is active) and
-    /// store the result.
-    fn memo_step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
-        let key = (env.ambient_bits(), dt.value().to_bits());
-        if let Some(memo) = self.memo {
-            if memo.key == key {
-                self.memo_hits += 1;
-                // The controller still has to land in the same state a
-                // real choose_voltage would have left it in.
-                self.controller
-                    .reuse_voltage(memo.step.operating_voltage, dt);
-                return memo.step;
-            }
-        }
-        self.memo_misses += 1;
-        let step = self.solve_step(env, dt);
-        self.memo = Some(ChannelMemo { key, step });
-        step
-    }
-
-    /// The full per-step solve (no memo consulted).
-    fn solve_step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
         let v_op = self
             .controller
             .choose_voltage(self.harvester.as_ref(), env, dt);
@@ -376,7 +220,7 @@ impl InputChannel {
     }
 
     /// Completes a step whose operating voltage is already chosen — the
-    /// post-controller half of [`solve_step`](Self::solve_step), shared
+    /// post-controller half of [`step`](Self::step), shared
     /// verbatim by the scalar path and the batched window lanes so the
     /// two stay bit-identical by construction.
     fn finish_step(&self, v_op: Volts, env: &EnvConditions) -> HarvestStep {
@@ -404,32 +248,16 @@ impl InputChannel {
 
     /// Whether [`window_lanes`](Self::window_lanes) can stand in for
     /// per-node [`step`](Self::step) calls at width `dt`: the chain must
-    /// be replayable (cache on, every block time-invariant) *and* the
-    /// controller must state a source-free [`WindowChoice`] — with a
-    /// batch Voc kernel on the harvester when that choice needs one.
+    /// have every block time-invariant *and* the controller must state a
+    /// source-free [`WindowChoice`] — with a batch Voc kernel on the
+    /// harvester when that choice needs one.
     pub fn supports_window_lanes(&self, dt: Seconds) -> bool {
         let batchable = match self.controller.window_choice(dt) {
             Some(WindowChoice::FractionOfVoc(_)) => self.harvester.voc_batch().is_some(),
             Some(WindowChoice::Fixed(_)) => true,
             None => false,
         };
-        batchable
-            && self.cache_enabled
-            && self.harvester.is_time_invariant()
-            && self.protection.is_time_invariant()
-            && self.converter.is_time_invariant()
-    }
-
-    /// Quantized-tier staging for the batched lanes: fills
-    /// `self.lane_env` with truncated snapshots when the quantized tier
-    /// is active (the solves then run against those, exactly as the
-    /// scalar memo path solves the truncated snapshot).
-    fn stage_lane_envs(&mut self, envs: &[EnvConditions]) {
-        if let Some(bits) = self.quantize_drop_bits {
-            self.lane_env.clear();
-            self.lane_env
-                .extend(envs.iter().map(|e| e.quantize_mantissa(bits)));
-        }
+        batchable && self.is_time_invariant()
     }
 
     /// One control window for a whole population: writes into `out[i]`
@@ -438,8 +266,7 @@ impl InputChannel {
     /// solving the operating points in one struct-of-arrays pass. The
     /// fraction-of-Voc rule batches through the harvester's
     /// [`voc_batch`](mseh_harvesters::Transducer::voc_batch) kernel, so
-    /// every lane is bit-identical to the scalar solve; memo counters
-    /// are not consulted or booked (the caller accounts for the lanes).
+    /// every lane is bit-identical to the scalar solve.
     ///
     /// # Panics
     ///
@@ -454,34 +281,23 @@ impl InputChannel {
         // Mirror the per-window `step` call the scalar driver makes.
         self.protection.advance(dt);
         self.converter.advance(dt);
-        self.stage_lane_envs(envs);
         match choice {
             WindowChoice::Fixed(v) => {
-                let staged: &[EnvConditions] = if self.quantize_drop_bits.is_some() {
-                    &self.lane_env
-                } else {
-                    envs
-                };
-                for (slot, env) in out.iter_mut().zip(staged) {
+                for (slot, env) in out.iter_mut().zip(envs) {
                     *slot = self.finish_step(v, env);
                 }
             }
             WindowChoice::FractionOfVoc(k) => {
                 let mut lane_voc = core::mem::take(&mut self.lane_voc);
                 lane_voc.resize(envs.len(), 0.0);
-                let staged: &[EnvConditions] = if self.quantize_drop_bits.is_some() {
-                    &self.lane_env
-                } else {
-                    envs
-                };
                 self.harvester
                     .voc_batch()
                     .expect("FractionOfVoc windows require a harvester batch kernel")
-                    .voc_lanes(staged, &mut lane_voc);
-                for i in 0..staged.len() {
+                    .voc_lanes(envs, &mut lane_voc);
+                for i in 0..envs.len() {
                     // Same arithmetic as the scalar `Voc * k` in FOCV.
                     let v_op = Volts::new(lane_voc[i]) * k;
-                    out[i] = self.finish_step(v_op, &staged[i]);
+                    out[i] = self.finish_step(v_op, &envs[i]);
                 }
                 self.lane_voc = lane_voc;
             }
@@ -493,9 +309,7 @@ impl InputChannel {
     /// [`WindowChoice`] still resolves at this width the step is just a
     /// narrow window; otherwise each lane holds `held[i]` — its own
     /// previous window's operating voltage — exactly as the scalar
-    /// controller's stale-hold contract does. The hold path runs against
-    /// the raw snapshots (the scalar fractional step bypasses the memo
-    /// and its quantized tier entirely).
+    /// controller's stale-hold contract does.
     ///
     /// # Panics
     ///
@@ -612,33 +426,87 @@ mod tests {
         assert!(s.contains("perturb-and-observe"));
     }
 
-    #[test]
-    fn repeated_conditions_replay_the_memo_bit_identically() {
-        let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
+    /// The bits of every field, so equality below is bit-identity.
+    fn bits(hs: HarvestStep) -> [u64; 4] {
+        [
+            hs.operating_voltage.value().to_bits(),
+            hs.extracted.value().to_bits(),
+            hs.delivered.value().to_bits(),
+            hs.overhead.value().to_bits(),
+        ]
+    }
+
+    /// The replay contract per-window harvest tables rest on: from a
+    /// settled state where the channel reports replayable, `step` calls
+    /// with identical `(env, dt)` return bit-identical results and leave
+    /// the channel state unchanged. A channel is settled by one `step` at
+    /// `dt`, then makes `calls` identical calls and a probe at a shorter
+    /// width and dimmer light (which for FOCV returns its held state).
+    /// Returns every result, bit-cast.
+    fn replay_run(
+        build: &dyn Fn() -> InputChannel,
+        dt: Seconds,
+        calls: usize,
+    ) -> (Vec<[u64; 4]>, [u64; 4]) {
         let env = sunny();
-        let dt = Seconds::new(1.0);
-        let first = ch.step(&env, dt);
-        let second = ch.step(&env, dt);
-        assert_eq!(
-            first.extracted.value().to_bits(),
-            second.extracted.value().to_bits()
-        );
-        assert_eq!(
-            first.delivered.value().to_bits(),
-            second.delivered.value().to_bits()
-        );
-        assert_eq!(
-            first.overhead.value().to_bits(),
-            second.overhead.value().to_bits()
-        );
-        let stats = ch.kernel_cache_stats();
-        assert!(stats.hits >= 1, "{stats:?}");
+        let mut dim = env;
+        dim.irradiance = WattsPerSqM::new(50.0);
+        let mut ch = build();
+        ch.step(&env, dt);
+        let steps = (0..calls)
+            .map(|_| {
+                assert!(ch.is_replayable(dt), "dt = {dt:?}");
+                bits(ch.step(&env, dt))
+            })
+            .collect();
+        (steps, bits(ch.step(&dim, Seconds::new(0.5))))
     }
 
     #[test]
-    fn hidden_state_controllers_never_replay() {
+    fn env_pure_channels_replay_identical_inputs_bit_identically() {
+        use crate::mppt::FractionalVoc;
+        let fixed = || pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
+        let focv = || pv_channel(Box::new(FractionalVoc::pv_standard()));
+        let cases: [(&dyn Fn() -> InputChannel, &[f64]); 2] = [
+            (&fixed, &[0.5, 1.0, 30.0, 60.0]),
+            // FOCV only at widths reaching its 30 s sample interval.
+            (&focv, &[30.0, 60.0, 3600.0]),
+        ];
+        for (build, widths) in cases {
+            for &w in widths {
+                let dt = Seconds::new(w);
+                // Two identical calls agree, and a third agrees with both.
+                let (steps, after_two) = replay_run(build, dt, 2);
+                assert_eq!(steps[0], steps[1], "dt = {w}");
+                let (third, after_three) = replay_run(build, dt, 3);
+                assert_eq!(third[..2], steps[..], "dt = {w}");
+                assert_eq!(third[2], steps[0], "dt = {w}");
+                // The state after one, two or three calls is the same:
+                // the probe that follows sees no difference.
+                let (_, after_one) = replay_run(build, dt, 1);
+                assert_eq!(after_one, after_two, "dt = {w}");
+                assert_eq!(after_two, after_three, "dt = {w}");
+            }
+        }
+        // Hidden state is never env-pure: FOCV below its interval holds a
+        // stale voltage, and P&O dithers at any width.
+        let mut settled = focv();
+        settled.step(&sunny(), Seconds::new(60.0));
+        assert!(settled.is_replayable(Seconds::new(60.0)));
+        assert!(!settled.is_replayable(Seconds::new(1.0)));
+        assert!(!settled.controller().is_env_pure(Seconds::new(1.0)));
+        let mut po = pv_channel(Box::new(PerturbObserve::new()));
+        for w in [1.0, 60.0] {
+            po.step(&sunny(), Seconds::new(w));
+            assert!(!po.controller().is_env_pure(Seconds::new(w)));
+            assert!(!po.is_replayable(Seconds::new(w)));
+        }
+    }
+
+    #[test]
+    fn perturb_observe_keeps_perturbing_under_constant_sun() {
         // P&O dithers around the MPP — its choice is history, not
-        // environment, so the memo must stay out of the loop.
+        // environment.
         let mut ch = pv_channel(Box::new(PerturbObserve::new()));
         let env = sunny();
         let mut last = Volts::ZERO;
@@ -651,151 +519,6 @@ mod tests {
             last = step.operating_voltage;
         }
         assert!(moved, "P&O should keep perturbing under constant sun");
-        // The step memo never engages (the harvester's own pure-solve
-        // cache may still hit — that layer is history-free).
-        let memo = ch.memo_stats();
-        assert_eq!((memo.hits, memo.misses), (0, 0));
-    }
-
-    #[test]
-    fn focv_channel_with_memo_matches_uncached_run_bitwise() {
-        use crate::mppt::FractionalVoc;
-        let build = || {
-            InputChannel::new(
-                Box::new(PvModule::outdoor_panel_half_watt()),
-                Box::new(FractionalVoc::pv_standard()),
-                Box::new(IdealDiode::nanopower()),
-                Box::new(DcDcConverter::mppt_front_end_5v()),
-            )
-        };
-        let mut cached = build();
-        let mut cold = build();
-        cold.set_cache_enabled(false);
-        // Constant-sun spans with a condition change in the middle; the
-        // 60 s step exceeds the 30 s FOCV interval, so every step samples.
-        let dt = Seconds::new(60.0);
-        let mut irradiances = vec![800.0; 10];
-        irradiances.extend([500.0; 10]);
-        irradiances.extend([800.0; 5]);
-        for (i, g) in irradiances.into_iter().enumerate() {
-            let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
-            env.irradiance = WattsPerSqM::new(g);
-            let a = cached.step(&env, dt);
-            let b = cold.step(&env, dt);
-            assert_eq!(
-                a.operating_voltage.value().to_bits(),
-                b.operating_voltage.value().to_bits(),
-                "step {i}"
-            );
-            assert_eq!(
-                a.delivered.value().to_bits(),
-                b.delivered.value().to_bits(),
-                "step {i}"
-            );
-        }
-        let stats = cached.kernel_cache_stats();
-        assert!(stats.hits >= 20, "{stats:?}");
-        assert_eq!(cold.kernel_cache_stats().hits, 0);
-    }
-
-    #[test]
-    fn quantized_tier_hits_under_wandering_conditions() {
-        use crate::mppt::FractionalVoc;
-        let build = || {
-            InputChannel::new(
-                Box::new(PvModule::outdoor_panel_half_watt()),
-                Box::new(FractionalVoc::pv_standard()),
-                Box::new(IdealDiode::nanopower()),
-                Box::new(DcDcConverter::mppt_front_end_5v()),
-            )
-        };
-        // Irradiance drifts by ~0.005 % per step: the exact tier misses
-        // every step, the 44-bit quantized tier buckets them together.
-        let dt = Seconds::new(60.0);
-        let drift = |ch: &mut InputChannel| {
-            for i in 0..50 {
-                let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
-                env.irradiance = WattsPerSqM::new(800.0 * (1.0 + 5e-5 * (i % 5) as f64));
-                ch.step(&env, dt);
-            }
-        };
-        let mut exact = build();
-        drift(&mut exact);
-        assert_eq!(exact.memo_stats().hits, 0, "exact tier must not bucket");
-
-        let mut quantized = build();
-        quantized.set_cache_quantization(Some(44));
-        assert_eq!(quantized.cache_quantization(), Some(44));
-        drift(&mut quantized);
-        assert!(
-            quantized.memo_stats().hits >= 40,
-            "{:?}",
-            quantized.memo_stats()
-        );
-    }
-
-    #[test]
-    fn quantized_replay_equals_exact_solve_of_quantized_input() {
-        // The verification contract: whatever the quantized tier returns
-        // must equal an uncached channel stepped on the pre-quantized
-        // snapshot. FixedPoint is env-pure on every step, so the
-        // quantized tier is engaged throughout.
-        let build = || pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        let bits = 44;
-        let mut quantized = build();
-        quantized.set_cache_quantization(Some(bits));
-        let mut reference = build();
-        reference.set_cache_enabled(false);
-        let dt = Seconds::new(60.0);
-        for i in 0..30 {
-            let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
-            env.irradiance = WattsPerSqM::new(641.0 + 0.013 * (i % 7) as f64);
-            let a = quantized.step(&env, dt);
-            let b = reference.step(&env.quantize_mantissa(bits), dt);
-            assert_eq!(a, b, "step {i}");
-        }
-        // And the input perturbation stays within the documented bound.
-        let env = {
-            let mut e = EnvConditions::quiescent(Seconds::ZERO);
-            e.irradiance = WattsPerSqM::new(641.987);
-            e
-        };
-        let q = env.quantize_mantissa(bits);
-        let rel = (env.irradiance.value() - q.irradiance.value()).abs() / env.irradiance.value();
-        assert!(rel < 2f64.powi(bits as i32 - 52));
-    }
-
-    #[test]
-    fn switching_tiers_flushes_memos_and_zero_is_exact() {
-        let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        let env = sunny();
-        ch.step(&env, Seconds::new(1.0));
-        ch.step(&env, Seconds::new(1.0));
-        let invalidations = ch.memo_stats().invalidations;
-        ch.set_cache_quantization(Some(40));
-        assert!(ch.memo_stats().invalidations > invalidations);
-        // Some(0) normalizes to the exact tier.
-        ch.set_cache_quantization(Some(0));
-        assert_eq!(ch.cache_quantization(), None);
-        // Oversized widths clamp to the full mantissa.
-        ch.set_cache_quantization(Some(99));
-        assert_eq!(ch.cache_quantization(), Some(52));
-    }
-
-    #[test]
-    fn swap_and_wrap_flush_the_memo() {
-        let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        let env = sunny();
-        ch.step(&env, Seconds::new(1.0));
-        ch.step(&env, Seconds::new(1.0));
-        assert!(ch.kernel_cache_stats().hits >= 1);
-        let before = ch.kernel_cache_stats().invalidations;
-        ch.swap_harvester(Box::new(PvModule::outdoor_panel_half_watt()));
-        assert!(ch.kernel_cache_stats().invalidations > before);
-        // The post-swap step must be a fresh solve, not a replay.
-        let hits_before = ch.kernel_cache_stats().hits;
-        ch.step(&env, Seconds::new(1.0));
-        assert_eq!(ch.kernel_cache_stats().hits, hits_before);
     }
 
     #[test]
@@ -827,8 +550,6 @@ mod tests {
                 let scalar = build().step(env, dt);
                 assert_eq!(out[i], scalar, "lane {i}");
             }
-            // The batch pass books nothing: the caller owns the counters.
-            assert_eq!(batched.memo_stats().hits + batched.memo_stats().misses, 0);
         }
     }
 
@@ -884,33 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_window_lanes_solve_the_truncated_snapshots() {
-        let bits = 44;
-        let dt = Seconds::new(60.0);
-        let envs: Vec<EnvConditions> = (0..6)
-            .map(|i| {
-                let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
-                env.irradiance = WattsPerSqM::new(641.987 + 0.013 * i as f64);
-                env
-            })
-            .collect();
-        let build = || pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        let mut batched = build();
-        batched.set_cache_quantization(Some(bits));
-        let mut out = vec![HarvestStep::default(); envs.len()];
-        batched.window_lanes(&envs, dt, &mut out);
-        for (i, env) in envs.iter().enumerate() {
-            let mut scalar = build();
-            scalar.set_cache_enabled(false);
-            assert_eq!(
-                scalar.step(&env.quantize_mantissa(bits), dt),
-                out[i],
-                "lane {i}"
-            );
-        }
-    }
-
-    #[test]
     fn window_lane_support_requires_batchable_chain() {
         use crate::mppt::FractionalVoc;
         let dt = Seconds::new(60.0);
@@ -928,10 +622,6 @@ mod tests {
             Box::new(DcDcConverter::mppt_front_end_5v()),
         );
         assert!(!no_kernel.supports_window_lanes(dt));
-        // A disabled kernel cache disables the batched lane with it.
-        let mut disabled = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        disabled.set_cache_enabled(false);
-        assert!(!disabled.supports_window_lanes(dt));
         // Time-varying stages (scheduled brownouts) break replayability.
         let mut wrapped = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
         wrapped.wrap_converter(|inner| {
@@ -941,18 +631,5 @@ mod tests {
             ))
         });
         assert!(!wrapped.supports_window_lanes(dt));
-    }
-
-    #[test]
-    fn disabled_cache_never_replays() {
-        let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        ch.set_cache_enabled(false);
-        assert!(!ch.cache_enabled());
-        let env = sunny();
-        let a = ch.step(&env, Seconds::new(1.0));
-        let b = ch.step(&env, Seconds::new(1.0));
-        assert_eq!(a, b);
-        let stats = ch.kernel_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 }

@@ -80,21 +80,14 @@ pub trait OperatingPointController: Send + Sync {
 
     /// Whether a `choose_voltage(source, env, dt)` call *right now* would
     /// be a pure function of `(env, dt)` — same voltage out, same
-    /// controller state after — so the channel memo may replay a stored
-    /// result instead of calling it. Controllers with hidden dither state
-    /// (P&O) answer `false` unconditionally; FOCV answers `true` exactly
-    /// when the call would land on a fresh resample. Defaults to `false`
-    /// (never replayable), which is always safe.
+    /// controller state after — so that a per-window harvest table solved
+    /// once may stand in for the call. Controllers with hidden dither
+    /// state (P&O) answer `false` unconditionally; FOCV answers `true`
+    /// exactly when the call would land on a fresh resample. Defaults to
+    /// `false` (never replayable), which is always safe.
     fn is_env_pure(&self, _dt: Seconds) -> bool {
         false
     }
-
-    /// Restores the exact post-`choose_voltage` state for a replayed
-    /// call that held `held` for `dt` — the state-side half of the memo
-    /// contract above. Only invoked after [`is_env_pure`](Self::is_env_pure)
-    /// returned `true` for the same `dt`. Default: stateless, nothing to
-    /// restore.
-    fn reuse_voltage(&mut self, _held: Volts, _dt: Seconds) {}
 
     /// The source-free rule an env-pure `choose_voltage` call of width
     /// `dt` applies from the replayable steady state, if one exists —
@@ -311,12 +304,6 @@ impl OperatingPointController for FractionalVoc {
         // are functions of `(env, dt)` alone. A mid-interval call returns
         // the stale `held`, which is history, not environment.
         self.since_sample == Seconds::ZERO && self.since_sample + dt >= self.sample_interval
-    }
-
-    fn reuse_voltage(&mut self, held: Volts, _dt: Seconds) {
-        // Reproduce the exact state a resampling call leaves behind.
-        self.since_sample = Seconds::ZERO;
-        self.held = held;
     }
 
     fn window_choice(&self, dt: Seconds) -> Option<WindowChoice> {
@@ -546,30 +533,5 @@ mod tests {
             Some(WindowChoice::FractionOfVoc(0.76))
         );
         assert_eq!(focv.window_choice(Seconds::new(1.0)), None);
-    }
-
-    #[test]
-    fn focv_reuse_voltage_reproduces_the_post_call_state() {
-        let pv = PvModule::outdoor_panel_half_watt();
-        let env = sunny();
-        let dt = Seconds::new(60.0);
-        let mut live = FractionalVoc::pv_standard();
-        let v1 = live.choose_voltage(&pv, &env, dt);
-        let v2 = live.choose_voltage(&pv, &env, dt);
-        assert_eq!(v1, v2);
-
-        // A replayed controller must behave identically afterwards —
-        // including on a subsequent *fractional* step that returns the
-        // stale held value.
-        let mut replayed = FractionalVoc::pv_standard();
-        replayed.choose_voltage(&pv, &env, dt);
-        replayed.reuse_voltage(v2, dt);
-        let frac = Seconds::new(1.0);
-        let mut dim = env;
-        dim.irradiance = WattsPerSqM::new(50.0);
-        let from_live = live.choose_voltage(&pv, &dim, frac);
-        let from_replayed = replayed.choose_voltage(&pv, &dim, frac);
-        assert_eq!(from_live, from_replayed);
-        assert_eq!(from_live, v2, "fractional step must return the held value");
     }
 }

@@ -58,8 +58,8 @@ pub trait PowerStage: Send + Sync {
     /// Whether the stage's transfer behaviour is independent of its
     /// internal clock — i.e. `output_for_input`/`input_for_output` give
     /// the same answer before and after any `advance`. Scheduled-fault
-    /// wrappers (brownouts) override this to `false`; the channel-level
-    /// solve memo refuses to replay results through a time-varying stage.
+    /// wrappers (brownouts) override this to `false`; a channel with a
+    /// time-varying stage is never replayed from a harvest table.
     fn is_time_invariant(&self) -> bool {
         true
     }

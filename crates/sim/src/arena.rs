@@ -10,7 +10,8 @@
 //! load the policy schedules. The arena amortizes that shared work:
 //! per (scenario, seed) it samples the environment **once**, builds
 //! the per-step harvest table **once** (the fleet engine's
-//! [`build_harvest_table`] replay machinery), and steps all N policy
+//! [`build_harvest_table`], sound by the replay contract of
+//! [`mseh_power::InputChannel::is_replayable`]), and steps all N policy
 //! lanes in lockstep against it, with per-lane store state held
 //! struct-of-arrays so the batched solve kernels
 //! ([`mseh_storage::SupercapLanes`], [`mseh_storage::BatteryLanes`])
@@ -22,10 +23,10 @@
 //! half, filling a table of two `f64` per step (bus harvest and
 //! overhead), and every lane replays that table through its own settle
 //! half — lanes never solve a harvest, and no per-step condition rows
-//! are kept. Each lane reports the driver's kernel-cache counters,
-//! exactly what its independent run reports. Platforms that cannot
-//! split (forwarding wrappers that implement only `step`) step lane by
-//! lane against the seed's sampled condition rows.
+//! are kept. The driver takes every step an independent run takes, so
+//! no replay contract is needed beyond [`Platform::split_step`]'s.
+//! Platforms that cannot split (forwarding wrappers that implement only
+//! `step`) step lane by lane against the seed's sampled condition rows.
 //!
 //! # Bit-identity
 //!
@@ -90,7 +91,6 @@ use crate::runner::run_simulation;
 use crate::runner::{SimConfig, SimResult};
 use mseh_core::{BusHarvest, PowerUnit};
 use mseh_env::{EnvConditions, EnvSampler, Environment, JitterFactors};
-use mseh_harvesters::CacheStats;
 use mseh_node::{
     DayProfileForecast, DutyCyclePolicy, EnergyNeutral, FailoverPolicy, FixedDuty,
     ForecastDutySelect, HillClimbDuty, SensorNode, VoltageThreshold,
@@ -388,12 +388,6 @@ pub struct ArenaSummary {
     /// served fraction, then mean uptime, then samples delivered, then
     /// name.
     pub standings: Vec<ContenderStanding>,
-    /// Kernel-cache counters summed across lanes plus the per-seed
-    /// shared-table drivers (dense scenarios).
-    pub kernel_cache: CacheStats,
-    /// Worst interpolation-table voltage deviation recorded by any
-    /// lane (`0` unless [`DenseSolveTier::Interpolated`] is active).
-    pub interp_max_deviation: f64,
     /// Arena-aggregated conservation residual: |Σ signed per-lane
     /// residuals| over total storage throughput (≈0; < 1e-6 asserted
     /// in debug builds).
@@ -449,13 +443,6 @@ struct LaneOutcome {
     failovers: u64,
 }
 
-/// One seed row's worth of lanes, plus the shared-table driver's cache
-/// counters (dense scenarios; zero for boxed).
-struct RowOutcome {
-    lanes: Vec<LaneOutcome>,
-    driver_cache: CacheStats,
-}
-
 /// Runs the tournament described by `spec` under `config`.
 ///
 /// # Panics
@@ -508,15 +495,8 @@ pub fn run_arena_controlled(
             sim.control_interval
         ));
     }
-    if let DenseSolveTier::Interpolated { samples } = config.dense_tier {
-        if samples < 2 {
-            return Err(format!(
-                "interpolation tier needs at least 2 knots, got {samples}"
-            ));
-        }
-    }
 
-    let plan = StepPlan::from_sim(sim, config.cadence, None);
+    let plan = StepPlan::from_sim(sim, config.cadence);
     let times = plan.table_times();
     let lanes_total = spec.lanes();
     let threads = if config.threads == 0 {
@@ -533,12 +513,9 @@ pub fn run_arena_controlled(
     // increasing counts.
     let done_lanes = std::sync::Mutex::new(0u64);
     let seed_indices: Vec<usize> = (0..spec.seeds.len()).collect();
-    let run_row = |&si: &usize| -> RowOutcome {
+    let run_row = |&si: &usize| -> Vec<LaneOutcome> {
         let seed = spec.seeds[si];
-        let mut row = RowOutcome {
-            lanes: Vec::with_capacity(n),
-            driver_cache: CacheStats::default(),
-        };
+        let mut row: Vec<LaneOutcome> = Vec::with_capacity(n);
         if tripped(cancel) {
             return row;
         }
@@ -552,10 +529,9 @@ pub fn run_arena_controlled(
                 // sequence; every lane replays the table.
                 let mut rows: Vec<EnvConditions> = Vec::new();
                 env.conditions_into(&times, &mut rows);
-                let mut channel = (class.channel)();
                 let mut table: Vec<HarvestStep> = Vec::new();
                 if build_harvest_table(
-                    &mut channel,
+                    &mut (class.channel)(),
                     &rows,
                     &JitterFactors::IDENTITY,
                     false,
@@ -567,15 +543,10 @@ pub fn run_arena_controlled(
                 {
                     return row;
                 }
-                row.driver_cache = channel.kernel_cache_stats();
                 if config.dense_tier == DenseSolveTier::Scalar {
                     // Reference tier: per-lane scalar store calls
                     // against the shared table.
                     for policy in policies.iter_mut() {
-                        let cache = CacheStats {
-                            hits: plan.steps,
-                            ..CacheStats::default()
-                        };
                         let outcome = match &class.store {
                             DenseStore::Supercap(s) => simulate_node_dense(
                                 s,
@@ -586,7 +557,6 @@ pub fn run_arena_controlled(
                                 policy.as_mut(),
                                 &table,
                                 &plan,
-                                cache,
                                 cancel,
                             ),
                             DenseStore::Battery(b) => simulate_node_dense(
@@ -598,12 +568,11 @@ pub fn run_arena_controlled(
                                 policy.as_mut(),
                                 &table,
                                 &plan,
-                                cache,
                                 cancel,
                             ),
                         };
                         match outcome {
-                            Some(o) => row.lanes.push(LaneOutcome {
+                            Some(o) => row.push(LaneOutcome {
                                 outcome: o,
                                 failovers: 0,
                             }),
@@ -622,15 +591,9 @@ pub fn run_arena_controlled(
                         policies: &mut policies,
                     };
                     let ok = match &class.store {
-                        DenseStore::Supercap(template) => run_supercap_lanes(
-                            &mut pop,
-                            template,
-                            config.dense_tier,
-                            &table,
-                            &plan,
-                            cancel,
-                            &mut out,
-                        ),
+                        DenseStore::Supercap(template) => {
+                            run_supercap_lanes(&mut pop, template, &table, &plan, cancel, &mut out)
+                        }
                         DenseStore::Battery(template) => {
                             run_battery_lanes(&mut pop, template, &table, &plan, cancel, &mut out)
                         }
@@ -638,7 +601,7 @@ pub fn run_arena_controlled(
                     if !ok {
                         return row;
                     }
-                    row.lanes.extend(out.into_iter().map(|o| LaneOutcome {
+                    row.extend(out.into_iter().map(|o| LaneOutcome {
                         outcome: o,
                         failovers: 0,
                     }));
@@ -646,36 +609,34 @@ pub fn run_arena_controlled(
             }
             ArenaPlatform::Boxed(factory) => {
                 // A driver that can split solves every step's harvest
-                // half once; lanes replay its table and report its cache
-                // counters. A driver that cannot split becomes the first
-                // lane, and lanes step against sampled rows instead.
+                // half once; lanes replay its table. A driver that cannot
+                // split becomes the first lane, and lanes step against
+                // sampled rows instead.
                 let mut driver = factory(seed);
                 let mut table: Vec<BusHarvest> = Vec::new();
-                let mut replay_cache = None;
-                if let Some(unit) = driver.split_step() {
-                    if build_bus_table(unit, &env, &plan, cancel, &mut table).is_none() {
-                        return row;
+                let split = match driver.split_step() {
+                    Some(unit) => {
+                        if build_bus_table(unit, &env, &plan, cancel, &mut table).is_none() {
+                            return row;
+                        }
+                        true
                     }
-                    replay_cache = Some(driver.kernel_cache_stats());
-                }
-                let mut spare = replay_cache.is_none().then_some(driver);
+                    None => false,
+                };
+                let mut spare = (!split).then_some(driver);
                 let mut rows: Vec<EnvConditions> = Vec::new();
                 for policy in policies.iter_mut() {
                     let mut platform = spare.take().unwrap_or_else(|| factory(seed));
-                    let source = match replay_cache {
-                        Some(cache) if platform.split_step().is_some() => HarvestSource::Replay {
-                            table: &table,
-                            cache,
-                        },
-                        _ => {
-                            if rows.is_empty() {
-                                env.conditions_into(&times, &mut rows);
-                            }
-                            HarvestSource::Env {
-                                rows: &rows,
-                                factors: &JitterFactors::IDENTITY,
-                                jittered: false,
-                            }
+                    let source = if split && platform.split_step().is_some() {
+                        HarvestSource::Replay { table: &table }
+                    } else {
+                        if rows.is_empty() {
+                            env.conditions_into(&times, &mut rows);
+                        }
+                        HarvestSource::Env {
+                            rows: &rows,
+                            factors: &JitterFactors::IDENTITY,
+                            jittered: false,
                         }
                     };
                     match simulate_node(
@@ -686,7 +647,7 @@ pub fn run_arena_controlled(
                         &plan,
                         cancel,
                     ) {
-                        Some(o) => row.lanes.push(LaneOutcome {
+                        Some(o) => row.push(LaneOutcome {
                             outcome: o,
                             failovers: 0,
                         }),
@@ -697,7 +658,7 @@ pub fn run_arena_controlled(
         }
 
         // Read failover counts back from the policies themselves.
-        for (lane, policy) in row.lanes.iter_mut().zip(policies.iter()) {
+        for (lane, policy) in row.iter_mut().zip(policies.iter()) {
             lane.failovers = policy.failover_count();
         }
 
@@ -713,7 +674,7 @@ pub fn run_arena_controlled(
 
     // A tripped token may have left rows short; partial results are
     // discarded wholesale rather than folded torn.
-    let completed: u64 = rows_out.iter().map(|r| r.lanes.len() as u64).sum();
+    let completed: u64 = rows_out.iter().map(|r| r.len() as u64).sum();
     if tripped(cancel) || completed != lanes_total {
         return Ok(None);
     }
@@ -756,14 +717,12 @@ pub fn run_arena_controlled(
 
     let mut residual_signed = 0.0;
     let mut throughput = 0.0;
-    let mut cache = CacheStats::default();
-    let mut interp_max_deviation = 0.0f64;
     let mut lane_results = config
         .keep_lane_results
         .then(|| Vec::with_capacity(lanes_total as usize));
 
     for row in &rows_out {
-        for (ci, lane) in row.lanes.iter().enumerate() {
+        for (ci, lane) in row.iter().enumerate() {
             let o = &lane.outcome;
             let a = &mut aggs[ci];
             a.harvested += o.harvested;
@@ -783,17 +742,10 @@ pub fn run_arena_controlled(
 
             residual_signed += o.residual_signed;
             throughput += o.throughput;
-            interp_max_deviation = interp_max_deviation.max(o.interp_deviation);
-            cache.hits += o.cache.hits;
-            cache.misses += o.cache.misses;
-            cache.invalidations += o.cache.invalidations;
             if let Some(results) = lane_results.as_mut() {
                 results.push(o.to_sim_result(plan.duration));
             }
         }
-        cache.hits += row.driver_cache.hits;
-        cache.misses += row.driver_cache.misses;
-        cache.invalidations += row.driver_cache.invalidations;
     }
 
     let mut standings: Vec<ContenderStanding> = aggs
@@ -867,8 +819,6 @@ pub fn run_arena_controlled(
             steps_per_lane: plan.steps,
             duration: plan.duration,
             standings,
-            kernel_cache: cache,
-            interp_max_deviation,
             audit_relative,
         },
         lane_results,
@@ -879,8 +829,8 @@ pub fn run_arena_controlled(
 /// control window at a time, filling the per-step table boxed lanes
 /// replay. The driver takes exactly the step sequence an independent
 /// run takes — every step, at the plan's widths — so its channel state
-/// and cache counters end where each lane's own would. Returns `None`
-/// when `cancel` trips, checked once per window.
+/// ends where each lane's own would. Returns `None` when `cancel` trips,
+/// checked once per window.
 fn build_bus_table(
     driver: &mut PowerUnit,
     env: &Environment,
@@ -1081,9 +1031,6 @@ mod tests {
         }
         fn storage_capacity(&self) -> Joules {
             self.0.storage_capacity()
-        }
-        fn kernel_cache_stats(&self) -> CacheStats {
-            self.0.kernel_cache_stats()
         }
     }
 

@@ -22,7 +22,7 @@ use mseh_env::EnvConditions;
 use mseh_harvesters::{HarvesterKind, Transducer};
 use mseh_storage::{Storage, StorageKind};
 use mseh_units::{Amps, Joules, Seconds, Volts, Watts};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The noise stream used for stochastic fault timelines (disjoint from
 /// the environment's streams, so fault draws never perturb weather).
@@ -579,9 +579,6 @@ pub struct GlitchingHarvester {
     /// non-negative floats the IEEE-754 bit pattern orders like the
     /// value, so `fetch_max` on bits tracks the latest time observed.
     seen_bits: AtomicU64,
-    /// Down-state as of the last observation, for edge detection: each
-    /// fire and each clear flushes the wrapped harvester's solve cache.
-    last_down: AtomicBool,
 }
 
 impl GlitchingHarvester {
@@ -593,7 +590,6 @@ impl GlitchingHarvester {
             name,
             schedule,
             seen_bits: AtomicU64::new(0),
-            last_down: AtomicBool::new(false),
         }
     }
 
@@ -607,19 +603,7 @@ impl GlitchingHarvester {
         if v > 0.0 {
             self.seen_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
         }
-        let down = self.schedule.is_down(t);
-        // On every fire and clear edge, flush the wrapped harvester's
-        // operating-point cache: the wrapper changes what the same
-        // ambient key produces, so no pre-edge solve may answer a
-        // post-edge lookup. (Exact keys make stale answers impossible
-        // anyway — the flush keeps the invalidation observable and the
-        // contract explicit.)
-        if self.last_down.swap(down, Ordering::Relaxed) != down {
-            if let Some(cache) = self.inner.solve_cache() {
-                cache.invalidate();
-            }
-        }
-        down
+        self.schedule.is_down(t)
     }
 
     fn seen(&self) -> Seconds {
@@ -662,7 +646,7 @@ impl Transducer for GlitchingHarvester {
 
     fn is_time_invariant(&self) -> bool {
         // Output depends on the absolute timestamp through the dropout
-        // schedule; channel memos must never replay across this wrapper.
+        // schedule; channel results must never replay across this wrapper.
         false
     }
 }

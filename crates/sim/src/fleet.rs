@@ -31,9 +31,13 @@
 //! bit-identical to running [`crate::run_simulation`] once per node.
 //! [`EnvCadence::PerWindow`] samples each site once per control window
 //! and holds that snapshot (including its `time` field) for every step in
-//! the window — the fleet-scale semantic from the issue: condition fields
-//! move at control cadence, and the operating-point kernel caches replay
-//! the window's first solve for the remaining steps.
+//! the window — the fleet-scale semantic: condition fields move at
+//! control cadence. Where every channel is replayable, a window's
+//! harvest is solved once and replayed for its remaining steps: dense
+//! groups through a shared harvest table (see below), boxed nodes that
+//! can split their step ([`Platform::split_step`]) by replaying their
+//! window head's harvest. Bit-identical either way, by the replay
+//! contract of [`InputChannel::is_replayable`].
 //!
 //! # The dense lane
 //!
@@ -43,8 +47,9 @@
 //! the engine runs it on a monomorphized fast path: the expensive
 //! operating-point solve is hoisted out of the per-node loop (one
 //! representative channel is driven once per control window and its
-//! [`HarvestStep`]s fanned out to every member — exact because a member
-//! channel's repeat steps are memo replays, see
+//! [`HarvestStep`]s fanned out to every member — exact by the replay
+//! contract: an env-pure controller on a time-invariant chain gives
+//! identical outputs and state for identical `(env, dt)`, see
 //! [`InputChannel::is_replayable`]), while the per-step store balance
 //! runs over the concrete storage type with no dynamic dispatch. A dense
 //! node is bit-identical to the same hardware built as a
@@ -61,9 +66,7 @@
 //! as one `powf` per distinct idle `dt` lane-wide). The batch kernels
 //! replicate the scalar iterate sequence exactly (see
 //! [`mseh_units::BatchSolve`]), so the batched tier is bit-identical to
-//! the scalar one; an opt-in interpolation tier trades exact supercap
-//! voltages for a table lookup with a recorded deviation bound
-//! ([`FleetSummary::interp_max_deviation`]). Boxed [`FleetGroup`]s
+//! the scalar one. Boxed [`FleetGroup`]s
 //! whose members match a monomorphized class can borrow the same
 //! kernels via [`FleetGroup::with_dense_class`].
 //!
@@ -117,7 +120,6 @@ use crate::runner::{SimConfig, SimResult};
 use mseh_core::BusHarvest;
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::{EnvConditions, EnvJitter, EnvSampler, Environment, JitterFactors};
-use mseh_harvesters::CacheStats;
 use mseh_node::{DutyCyclePolicy, EnergyStatus, MonitoringLevel, SensorNode};
 use mseh_power::{DcDcConverter, HarvestStep, InputChannel, PowerStage};
 use mseh_storage::{Battery, Storage, Supercap};
@@ -139,9 +141,10 @@ pub enum EnvCadence {
     PerStep,
     /// One snapshot per control window, held (including its `time`
     /// field) for every step in the window. This is the fleet-scale
-    /// semantic: conditions move at control cadence and the kernel
-    /// caches replay the window's first operating-point solve for the
-    /// remaining steps.
+    /// semantic: conditions move at control cadence. A replayable
+    /// channel ([`InputChannel::is_replayable`]) then returns the same
+    /// [`HarvestStep`] for every step in the window, which is what lets
+    /// the engine solve each window's harvest once and replay it.
     PerWindow,
 }
 
@@ -152,18 +155,10 @@ pub enum EnvCadence {
 /// iterate sequence under a convergence mask instead of inventing a new
 /// numerical scheme (see [`mseh_units::BatchSolve`]), and the tests
 /// assert full [`FleetSummary`] equality between the tiers.
-/// [`Interpolated`](Self::Interpolated) trades exact supercap voltages
-/// for a per-run interpolation table sampled from the exact solver; its
-/// recorded worst-case voltage deviation surfaces as
-/// [`FleetSummary::interp_max_deviation`], and the conservation audit
-/// still closes exactly (table residuals are charged to losses).
 ///
 /// The tier governs every [`DenseGroup`] — supercap-store *and*
 /// battery-store — plus boxed [`FleetGroup`]s opted in via
-/// [`FleetGroup::with_dense_class`]. Battery lanes have no iterative
-/// inversion to interpolate, so they step the exact batched kernels
-/// under [`Interpolated`](Self::Interpolated) too. Groups the gate
-/// cannot cover (jittered under per-step cadence, or a channel without
+/// [`FleetGroup::with_dense_class`]. Groups the gate cannot cover (jittered under per-step cadence, or a channel without
 /// window-lane support) fall back to the scalar path — same results,
 /// scalar speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,13 +170,6 @@ pub enum DenseSolveTier {
     /// iteration schedule under a convergence mask, no per-node early
     /// exit). Bit-identical to [`Scalar`](Self::Scalar).
     Batched,
-    /// Batched stepping with the supercap energy→voltage inversion
-    /// replaced by a per-run interpolation table.
-    Interpolated {
-        /// Number of equally-spaced energy knots (min 2); deviation
-        /// shrinks quadratically with the count.
-        samples: usize,
-    },
 }
 
 /// Builds one node's platform from its per-node seed.
@@ -261,10 +249,7 @@ impl FleetGroup {
     /// [`Platform::supports_dense_kernels`] and its storage books must
     /// match the declared template bit for bit — and rejects the run
     /// otherwise; heterogeneity beyond member 0 is the caller's
-    /// responsibility. Kernel-cache counters are synthesized from the
-    /// lane replay pattern rather than read from member channels, so
-    /// summaries match the plain boxed path everywhere except
-    /// [`FleetSummary::kernel_cache`].
+    /// responsibility. Summaries equal the plain boxed path's in full.
     pub fn with_dense_class(mut self, class: DenseClass) -> Self {
         self.dense_class = Some(Box::new(class));
         self
@@ -384,8 +369,8 @@ impl core::fmt::Debug for DenseClass {
 /// [`with_monitoring`](Self::with_monitoring)). Under
 /// [`EnvCadence::PerWindow`] the channel must be replayable
 /// ([`InputChannel::is_replayable`]) — true for the gated controllers
-/// (fixed-point, fractional-V_oc with its sample interval inside `dt`)
-/// with the kernel cache on; the engine asserts it at run start.
+/// (fixed-point, fractional-V_oc with its sample interval inside `dt`);
+/// the engine asserts it at run start.
 pub struct DenseGroup {
     name: String,
     count: usize,
@@ -602,10 +587,6 @@ pub struct FleetConfig {
     pub shard_size: usize,
     /// How often member nodes re-sample site conditions.
     pub cadence: EnvCadence,
-    /// Kernel-cache key tier applied to every node's platform (`None` =
-    /// exact tier; `Some(m)` = quantized tier, see
-    /// [`Platform::set_kernel_cache_quantization`]).
-    pub quantize_drop_bits: Option<u32>,
     /// Also return a full [`SimResult`] per node (memory scales with
     /// population).
     pub keep_node_results: bool,
@@ -621,14 +602,13 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// Fleet defaults over `duration`: 60 s steps, 10-minute control
     /// windows, per-window cadence, auto threads, 1024-node shards,
-    /// exact cache tier, 8 stragglers.
+    /// 8 stragglers.
     pub fn over(duration: Seconds) -> Self {
         Self {
             sim: SimConfig::over(duration),
             threads: 0,
             shard_size: 0,
             cadence: EnvCadence::PerWindow,
-            quantize_drop_bits: None,
             keep_node_results: false,
             stragglers: 8,
             dense_tier: DenseSolveTier::Batched,
@@ -739,14 +719,6 @@ pub struct FleetSummary {
     pub audit_relative: f64,
     /// Worst single node's relative audit residual.
     pub worst_node_audit: f64,
-    /// Kernel-cache counters summed across all node platforms. Cache
-    /// state never crosses nodes, so these are deterministic too.
-    pub kernel_cache: CacheStats,
-    /// Worst interpolation-table voltage deviation recorded by any
-    /// batched run (`0` unless [`DenseSolveTier::Interpolated`] is
-    /// active): the maximum |exact − interpolated| terminal voltage
-    /// probed when each run's table was built.
-    pub interp_max_deviation: f64,
     /// The `config.stragglers` worst-uptime nodes, worst first (ties by
     /// node index).
     pub stragglers: Vec<Straggler>,
@@ -773,22 +745,17 @@ pub(crate) struct StepPlan {
     pub(crate) steps: u64,
     pub(crate) control_every: u64,
     pub(crate) cadence: EnvCadence,
-    pub(crate) quantize_drop_bits: Option<u32>,
 }
 
 impl StepPlan {
     fn new(config: &FleetConfig) -> Self {
-        Self::from_sim(config.sim, config.cadence, config.quantize_drop_bits)
+        Self::from_sim(config.sim, config.cadence)
     }
 
     /// Builds the plan straight from a [`SimConfig`] plus the sampling
-    /// cadence and cache-key tier — shared with the policy arena, which
-    /// has no [`FleetConfig`].
-    pub(crate) fn from_sim(
-        sim: SimConfig,
-        cadence: EnvCadence,
-        quantize_drop_bits: Option<u32>,
-    ) -> Self {
+    /// cadence — shared with the policy arena, which has no
+    /// [`FleetConfig`].
+    pub(crate) fn from_sim(sim: SimConfig, cadence: EnvCadence) -> Self {
         assert!(sim.dt.value() > 0.0, "dt must be positive");
         assert!(
             sim.duration >= sim.dt,
@@ -814,7 +781,6 @@ impl StepPlan {
             steps,
             control_every,
             cadence,
-            quantize_drop_bits,
         }
     }
 
@@ -854,8 +820,6 @@ pub(crate) struct NodeOutcome {
     pub(crate) residual_signed: f64,
     pub(crate) throughput: f64,
     pub(crate) stranded: Joules,
-    pub(crate) cache: CacheStats,
-    pub(crate) interp_deviation: f64,
 }
 
 impl NodeOutcome {
@@ -887,12 +851,8 @@ pub(crate) enum HarvestSource<'a> {
         jittered: bool,
     },
     /// Replay the per-step harvest halves an identically built driver
-    /// solved (see [`Platform::split_step`]); `cache` is the driver's
-    /// kernel-cache counters, exactly what the node's own run reports.
-    Replay {
-        table: &'a [BusHarvest],
-        cache: CacheStats,
-    },
+    /// solved (see [`Platform::split_step`]).
+    Replay { table: &'a [BusHarvest] },
 }
 
 /// Runs one node's full trajectory. The loop body replicates
@@ -900,6 +860,13 @@ pub(crate) enum HarvestSource<'a> {
 /// structure, same accumulator order, same audit — so a per-step-cadence
 /// fleet node is bit-identical to a standalone run. Returns `None` when
 /// `cancel` trips, checked once per control window.
+///
+/// Under [`EnvCadence::PerWindow`] every full-width step of a window
+/// sees the window head's conditions, so a platform that can split its
+/// step and whose harvest is replayable after the head step
+/// ([`PowerUnit::is_harvest_replayable`](mseh_core::PowerUnit::is_harvest_replayable))
+/// replays the head's harvest for the rest of the window instead of
+/// solving it again — bit-identical by the replay contract.
 pub(crate) fn simulate_node(
     platform: &mut dyn Platform,
     node: &SensorNode,
@@ -938,6 +905,8 @@ pub(crate) fn simulate_node(
         let load = node.average_power(duty);
         let demand = node.step(duty, plan.dt);
         let load_energy = load * plan.dt;
+        // The window head's harvest, once it is known to be replayable.
+        let mut head: Option<BusHarvest> = None;
 
         for j in window_start..window_end {
             let (step_dt, step_samples, step_load_energy) = match plan.frac_dt {
@@ -963,9 +932,22 @@ pub(crate) fn simulate_node(
                     } else {
                         base
                     };
-                    platform.step(env, step_dt, load)
+                    let head_step = plan.cadence == EnvCadence::PerWindow
+                        && j == window_start
+                        && step_dt == plan.dt;
+                    match (platform.split_step(), head) {
+                        (Some(unit), Some(harvest)) if step_dt == plan.dt => {
+                            unit.replay(harvest, step_dt, load)
+                        }
+                        (Some(unit), _) if head_step => {
+                            let harvest = unit.harvest(env, step_dt);
+                            head = unit.is_harvest_replayable(step_dt).then_some(harvest);
+                            unit.settle(harvest, step_dt, load)
+                        }
+                        _ => platform.step(env, step_dt, load),
+                    }
                 }
-                HarvestSource::Replay { table, .. } => platform
+                HarvestSource::Replay { table } => platform
                     .split_step()
                     .expect("a replayed platform splits like its driver")
                     .replay(table[j as usize], step_dt, load),
@@ -1035,29 +1017,24 @@ pub(crate) fn simulate_node(
         residual_signed,
         throughput,
         stranded: platform.stranded_energy(),
-        cache: match *source {
-            HarvestSource::Env { .. } => platform.kernel_cache_stats(),
-            HarvestSource::Replay { cache, .. } => cache,
-        },
-        interp_deviation: 0.0,
     })
 }
 
 /// Drives one representative channel through the run's full step
 /// sequence, materializing the per-step [`HarvestStep`] table a dense
-/// node replays. Returns the number of `channel.step` calls made; the
-/// remaining `plan.steps − calls` table reads are replays of solves the
-/// channel memoized.
+/// node replays.
 ///
 /// Soundness: under [`EnvCadence::PerStep`] the driver performs exactly
-/// the member step sequence. Under [`EnvCadence::PerWindow`] a member
-/// channel's within-window repeat steps are memo hits (asserted via
-/// [`InputChannel::is_replayable`] once the controller has settled after
-/// its first solve), and a hit leaves controller state exactly where the
-/// window's first solve left it — so skipping the repeats preserves both
-/// the per-step outputs and the channel state bit for bit. The
-/// fractional closing step always gets its own call (its `dt` differs).
-/// Returns `None` when `cancel` trips, checked once per control window.
+/// the member step sequence. Under [`EnvCadence::PerWindow`] every step
+/// of a window sees the same `(env, dt)`, and the replay contract
+/// applies: an env-pure controller on a time-invariant chain
+/// ([`InputChannel::is_replayable`], asserted once the controller has
+/// settled after its first solve) gives identical outputs and leaves
+/// identical state for identical `(env, dt)`. Copying the window's
+/// first step over its repeats therefore preserves both the per-step
+/// outputs and the channel state bit for bit. The fractional closing
+/// step always gets its own call (its `dt` differs). Returns `None` when
+/// `cancel` trips, checked once per control window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_harvest_table(
     channel: &mut InputChannel,
@@ -1067,10 +1044,9 @@ pub(crate) fn build_harvest_table(
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
     out: &mut Vec<HarvestStep>,
-) -> Option<u64> {
+) -> Option<()> {
     out.clear();
     out.reserve(plan.steps as usize);
-    let mut calls = 0u64;
     let mut probed = false;
     let mut window_ordinal = 0usize;
     let mut window_start = 0u64;
@@ -1102,14 +1078,13 @@ pub(crate) fn build_harvest_table(
                 base
             };
             out.push(channel.step(env, step_dt));
-            calls += 1;
             if !probed && plan.cadence == EnvCadence::PerWindow {
                 probed = true;
                 assert!(
                     channel.is_replayable(plan.dt),
                     "dense group requires a replayable channel under per-window \
-                     cadence (kernel cache on, env-pure controller with its sample \
-                     interval inside dt); use EnvCadence::PerStep or a boxed \
+                     cadence (env-pure controller with its sample interval inside \
+                     dt, time-invariant chain); use EnvCadence::PerStep or a boxed \
                      FleetGroup for this platform"
                 );
             }
@@ -1117,7 +1092,7 @@ pub(crate) fn build_harvest_table(
         window_start = window_end;
         window_ordinal += 1;
     }
-    Some(calls)
+    Some(())
 }
 
 /// Runs one dense-lane node: the per-step arithmetic of
@@ -1136,7 +1111,6 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
     policy: &mut dyn DutyCyclePolicy,
     harvest: &[HarvestStep],
     plan: &StepPlan,
-    cache: CacheStats,
     cancel: Option<&CancelToken>,
 ) -> Option<NodeOutcome> {
     let mut store = template.clone();
@@ -1319,8 +1293,6 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
         residual_signed,
         throughput,
         stranded: Joules::ZERO,
-        cache,
-        interp_deviation: 0.0,
     })
 }
 
@@ -1463,13 +1435,6 @@ pub fn run_fleet_controlled(
             sim.control_interval
         ));
     }
-    if let DenseSolveTier::Interpolated { samples } = config.dense_tier {
-        if samples < 2 {
-            return Err(format!(
-                "interpolation tier needs at least 2 knots, got {samples}"
-            ));
-        }
-    }
     let plan = StepPlan::new(&config);
 
     // One contiguous condition table per site, sampled through the same
@@ -1534,31 +1499,23 @@ pub fn run_fleet_controlled(
     // Un-jittered dense classes share one harvest table group-wide: the
     // driver channel solves each control window once and every member
     // replays it. Jittered dense nodes drive their own channel inside
-    // the shard (their conditions differ), still once per window. The
-    // driver's solve counters are folded into the summary once per
-    // group, after the per-node fold. Opted-in boxed groups get a table
-    // only when their batched gate is open — otherwise they run plain
-    // boxed and a table would skew the cache fold.
-    let build_group_table =
-        |factory: &ChannelFactory, site: usize| -> Option<(Vec<HarvestStep>, CacheStats)> {
-            let mut channel = factory();
-            if plan.quantize_drop_bits.is_some() {
-                channel.set_cache_quantization(plan.quantize_drop_bits);
-            }
-            let mut table = Vec::new();
-            build_harvest_table(
-                &mut channel,
-                &tables[site],
-                &JitterFactors::IDENTITY,
-                false,
-                &plan,
-                cancel,
-                &mut table,
-            )
-            .map(|_| (table, channel.kernel_cache_stats()))
-        };
-    let mut dense_tables: Vec<Option<(Vec<HarvestStep>, CacheStats)>> =
-        Vec::with_capacity(spec.groups.len());
+    // the shard (their conditions differ), still once per window.
+    // Opted-in boxed groups get a table only when their batched gate is
+    // open — otherwise they run plain boxed and never read it.
+    let build_group_table = |factory: &ChannelFactory, site: usize| -> Option<Vec<HarvestStep>> {
+        let mut table = Vec::new();
+        build_harvest_table(
+            &mut factory(),
+            &tables[site],
+            &JitterFactors::IDENTITY,
+            false,
+            &plan,
+            cancel,
+            &mut table,
+        )
+        .map(|()| table)
+    };
+    let mut dense_tables: Vec<Option<Vec<HarvestStep>>> = Vec::with_capacity(spec.groups.len());
     for (gi, entry) in spec.groups.iter().enumerate() {
         dense_tables.push(match entry {
             GroupEntry::Dense(g) if g.jitter.is_none() => {
@@ -1687,7 +1644,7 @@ pub fn run_fleet_controlled(
                     }
                 };
                 let site = spec.groups[gi].site();
-                let shared = dense_tables[gi].as_ref().map(|(t, _)| t.as_slice());
+                let shared = dense_tables[gi].as_deref();
                 let ok = match store {
                     DenseStore::Supercap(template) => dense_lanes::simulate_supercap_run(
                         &view,
@@ -1698,7 +1655,6 @@ pub fn run_fleet_controlled(
                         &tables[site],
                         shared,
                         &plan,
-                        config.dense_tier,
                         cancel,
                         &mut out,
                     ),
@@ -1730,9 +1686,6 @@ pub fn run_fleet_controlled(
                         let jittered = !g.jitter.is_none();
                         let mut platform = (g.platform)(node_seed);
                         let mut policy = (g.policy)(node_seed);
-                        if plan.quantize_drop_bits.is_some() {
-                            platform.set_kernel_cache_quantization(plan.quantize_drop_bits);
-                        }
                         let source = HarvestSource::Env {
                             rows: &tables[g.site],
                             factors: &factors,
@@ -1753,35 +1706,26 @@ pub fn run_fleet_controlled(
                     GroupEntry::Dense(g) => {
                         let node_seed = Noise::new(g.seed).bits(NODE_SEED_STREAM, within);
                         let mut policy = (g.policy)(node_seed);
-                        // Per-node cache view: table reads beyond the
-                        // driver's own calls are replays of memoized solves.
-                        let mut cache = CacheStats::default();
-                        let mut calls = 0u64;
                         let table: &[HarvestStep] = match &dense_tables[gi] {
-                            Some((table, _)) => table,
+                            Some(table) => table,
                             None => {
                                 let factors = JitterFactors::derive(g.jitter, node_seed);
-                                let mut channel = (g.channel)();
-                                if plan.quantize_drop_bits.is_some() {
-                                    channel.set_cache_quantization(plan.quantize_drop_bits);
-                                }
-                                calls = match build_harvest_table(
-                                    &mut channel,
+                                if build_harvest_table(
+                                    &mut (g.channel)(),
                                     &tables[g.site],
                                     &factors,
                                     true,
                                     &plan,
                                     cancel,
                                     &mut scratch,
-                                ) {
-                                    Some(calls) => calls,
-                                    None => return out,
-                                };
-                                cache = channel.kernel_cache_stats();
+                                )
+                                .is_none()
+                                {
+                                    return out;
+                                }
                                 &scratch
                             }
                         };
-                        cache.hits += plan.steps - calls;
                         let outcome = match &g.store {
                             DenseStore::Supercap(s) => simulate_node_dense(
                                 s,
@@ -1792,7 +1736,6 @@ pub fn run_fleet_controlled(
                                 policy.as_mut(),
                                 table,
                                 &plan,
-                                cache,
                                 cancel,
                             ),
                             DenseStore::Battery(b) => simulate_node_dense(
@@ -1804,7 +1747,6 @@ pub fn run_fleet_controlled(
                                 policy.as_mut(),
                                 table,
                                 &plan,
-                                cache,
                                 cancel,
                             ),
                         };
@@ -1850,8 +1792,6 @@ pub fn run_fleet_controlled(
     let mut worst_node_audit = 0.0f64;
     let mut min_v = Volts::new(f64::INFINITY);
     let mut neutral = 0u64;
-    let mut interp_max_deviation = 0.0f64;
-    let mut cache = CacheStats::default();
     let mut uptimes: Vec<f64> = Vec::with_capacity(population as usize);
     let mut node_results = config
         .keep_node_results
@@ -1869,21 +1809,10 @@ pub fn run_fleet_controlled(
         worst_node_audit = worst_node_audit.max(outcome.audit_residual);
         min_v = min_v.min(outcome.min_store_voltage);
         neutral += u64::from(outcome.brownout_steps == 0);
-        interp_max_deviation = interp_max_deviation.max(outcome.interp_deviation);
-        cache.hits += outcome.cache.hits;
-        cache.misses += outcome.cache.misses;
-        cache.invalidations += outcome.cache.invalidations;
         uptimes.push(outcome.uptime);
         if let Some(results) = node_results.as_mut() {
             results.push(outcome.to_sim_result(plan.duration));
         }
-    }
-    // Shared-table dense groups: the driver's actual solve counters enter
-    // the books once per group (member nodes counted only replays).
-    for driver in dense_tables.iter().flatten() {
-        cache.hits += driver.1.hits;
-        cache.misses += driver.1.misses;
-        cache.invalidations += driver.1.invalidations;
     }
 
     let mean = uptimes.iter().sum::<f64>() / population as f64;
@@ -1947,8 +1876,6 @@ pub fn run_fleet_controlled(
             min_store_voltage: min_v,
             audit_relative,
             worst_node_audit,
-            kernel_cache: cache,
-            interp_max_deviation,
             stragglers,
         },
         node_results,
@@ -2204,19 +2131,12 @@ mod tests {
     }
 
     #[test]
-    fn per_window_cadence_audits_and_hits_the_cache() {
+    fn per_window_cadence_audits() {
         let out = run_fleet(
             &small_spec(4, EnvJitter::NONE),
             FleetConfig::over(Seconds::from_hours(4.0)),
         );
         assert!(out.summary.audit_relative < 1e-6);
-        // Conditions are held within each 10-minute window, so the
-        // channel memo replays at least the window's repeat steps.
-        assert!(
-            out.summary.kernel_cache.hits > 0,
-            "{:?}",
-            out.summary.kernel_cache
-        );
     }
 
     #[test]
@@ -2296,14 +2216,6 @@ mod tests {
         assert_eq!(*node, reference);
     }
 
-    /// Summaries with the cache counters zeroed out: the dense lane
-    /// necessarily books fewer solves, every physical quantity must
-    /// still agree bit for bit.
-    fn modulo_cache(mut s: FleetSummary) -> FleetSummary {
-        s.kernel_cache = CacheStats::default();
-        s
-    }
-
     #[test]
     fn dense_lane_is_bit_identical_to_boxed_lane() {
         let horizon = Seconds::from_hours(4.0);
@@ -2332,7 +2244,7 @@ mod tests {
             }
             run_fleet(&spec, FleetConfig::over(horizon)).summary
         };
-        assert_eq!(modulo_cache(build(true)), modulo_cache(build(false)));
+        assert_eq!(build(true), build(false));
     }
 
     #[test]
@@ -2376,7 +2288,7 @@ mod tests {
             ));
             run_fleet(&spec, FleetConfig::over(horizon)).summary
         };
-        assert_eq!(modulo_cache(dense), modulo_cache(boxed));
+        assert_eq!(dense, boxed);
     }
 
     #[test]
@@ -2508,8 +2420,8 @@ mod tests {
         );
         let jittered = build(EnvJitter::relative(0.2));
         assert_eq!(
-            modulo_cache(run(&jittered, DenseSolveTier::Batched)),
-            modulo_cache(run(&jittered, DenseSolveTier::Scalar))
+            run(&jittered, DenseSolveTier::Batched),
+            run(&jittered, DenseSolveTier::Scalar)
         );
     }
 
@@ -2543,19 +2455,8 @@ mod tests {
             run_fleet(&spec, FleetConfig::over(horizon)).summary
         };
         for jitter in [EnvJitter::NONE, EnvJitter::relative(0.2)] {
-            assert_eq!(
-                modulo_cache(build(true, jitter)),
-                modulo_cache(build(false, jitter)),
-                "{jitter:?}"
-            );
+            assert_eq!(build(true, jitter), build(false, jitter), "{jitter:?}");
         }
-        // Non-vacuity: the un-jittered opted-in group really took the
-        // lane kernels — its synthesized cache counters differ from the
-        // boxed channels' real ones.
-        assert_ne!(
-            build(true, EnvJitter::NONE).kernel_cache,
-            build(false, EnvJitter::NONE).kernel_cache
-        );
     }
 
     #[test]
@@ -2607,8 +2508,7 @@ mod tests {
             spec.add_group(group);
             run_fleet(&spec, FleetConfig::over(horizon)).summary
         };
-        assert_eq!(modulo_cache(build(true)), modulo_cache(build(false)));
-        assert_ne!(build(true).kernel_cache, build(false).kernel_cache);
+        assert_eq!(build(true), build(false));
     }
 
     #[test]

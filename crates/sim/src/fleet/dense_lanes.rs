@@ -43,13 +43,10 @@
 //! one-lane population's iterates equal any lane of a wider one. The
 //! fleet tests assert all of it.
 
-use super::{
-    ChannelFactory, DenseSolveTier, NodeOutcome, PolicyFactory, StepPlan, NODE_SEED_STREAM,
-};
+use super::{ChannelFactory, NodeOutcome, PolicyFactory, StepPlan, NODE_SEED_STREAM};
 use crate::cancel::{tripped, CancelToken};
 use mseh_env::rng::Noise;
 use mseh_env::{EnvConditions, EnvJitter, JitterFactors};
-use mseh_harvesters::CacheStats;
 use mseh_node::{DutyCyclePolicy, EnergyStatus, MonitoringLevel, SensorNode};
 use mseh_power::{DcDcConverter, HarvestStep, InputChannel, PowerStage};
 use mseh_storage::{Battery, BatteryLanes, Storage, Supercap, SupercapLanes};
@@ -85,10 +82,8 @@ pub(crate) struct LanePopulation<'a> {
 
 /// Where a lane population's harvests come from.
 pub(crate) enum LaneHarvest<'a> {
-    /// Every lane replays one class-wide per-step harvest table; cache
-    /// counters are synthesized exactly as the scalar dense path does
-    /// (every table read is a memoized replay). Populations in this
-    /// mode start on the uniform fast path.
+    /// Every lane replays one class-wide per-step harvest table.
+    /// Populations in this mode start on the uniform fast path.
     Shared(&'a [HarvestStep]),
     /// Each lane sees its own jittered snapshot of the window's base
     /// conditions; the channel is driven once per window via
@@ -221,22 +216,15 @@ pub(super) fn simulate_supercap_run(
     rows: &[EnvConditions],
     shared: Option<&[HarvestStep]>,
     plan: &StepPlan,
-    tier: DenseSolveTier,
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
-    let mut solo = SupercapLanes::from_template(template, 1);
-    let interp_deviation = match tier {
-        DenseSolveTier::Interpolated { samples } => solo.set_interpolation(samples),
-        _ => 0.0,
-    };
     simulate_dense_run(
         view,
-        solo,
+        SupercapLanes::from_template(template, 1),
         template.capacity(),
         template.stored_energy().value(),
         template.losses().value(),
-        interp_deviation,
         group_start,
         lo,
         hi,
@@ -250,11 +238,7 @@ pub(super) fn simulate_supercap_run(
 
 /// Steps global nodes `lo..hi` of a battery-store dense class as one
 /// lane population, pushing their [`NodeOutcome`]s onto `out` in node
-/// order. Batteries have no iterative inversion to interpolate, so
-/// every non-`Scalar` tier steps the exact [`BatteryLanes`] kernels
-/// (the one lane-wide `powf` per distinct idle `dt` is already the
-/// cheap path) and `interp_deviation` stays zero. See
-/// [`run_lane_population`] for the shared semantics.
+/// order. See [`run_lane_population`] for the shared semantics.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn simulate_battery_run(
     view: &DenseView<'_>,
@@ -268,14 +252,12 @@ pub(super) fn simulate_battery_run(
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
-    let solo = BatteryLanes::from_template(template, 1);
     simulate_dense_run(
         view,
-        solo,
+        BatteryLanes::from_template(template, 1),
         template.capacity(),
         template.stored_energy().value(),
         template.losses().value(),
-        0.0,
         group_start,
         lo,
         hi,
@@ -297,7 +279,6 @@ fn simulate_dense_run<L: StoreLanes>(
     cap: Joules,
     initial_stored: f64,
     initial_losses: f64,
-    interp_deviation: f64,
     group_start: u64,
     lo: u64,
     hi: u64,
@@ -322,15 +303,11 @@ fn simulate_dense_run<L: StoreLanes>(
     let harvest = match shared {
         Some(table) => LaneHarvest::Shared(table),
         None => {
-            let mut ch = (view.channel)();
-            if plan.quantize_drop_bits.is_some() {
-                ch.set_cache_quantization(plan.quantize_drop_bits);
-            }
             let factors: Vec<JitterFactors> = (0..lanes_n)
                 .map(|i| JitterFactors::derive(view.jitter, node_seed(i)))
                 .collect();
             LaneHarvest::Jittered {
-                channel: Box::new(ch),
+                channel: Box::new((view.channel)()),
                 factors,
                 rows,
             }
@@ -350,7 +327,6 @@ fn simulate_dense_run<L: StoreLanes>(
         cap,
         initial_stored,
         initial_losses,
-        interp_deviation,
         harvest,
         plan,
         cancel,
@@ -366,24 +342,17 @@ fn simulate_dense_run<L: StoreLanes>(
 pub(crate) fn run_supercap_lanes(
     pop: &mut LanePopulation<'_>,
     template: &Supercap,
-    tier: DenseSolveTier,
     table: &[HarvestStep],
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
-    let mut solo = SupercapLanes::from_template(template, 1);
-    let interp_deviation = match tier {
-        DenseSolveTier::Interpolated { samples } => solo.set_interpolation(samples),
-        _ => 0.0,
-    };
     run_lane_population(
         pop,
-        solo,
+        SupercapLanes::from_template(template, 1),
         template.capacity(),
         template.stored_energy().value(),
         template.losses().value(),
-        interp_deviation,
         LaneHarvest::Shared(table),
         plan,
         cancel,
@@ -402,14 +371,12 @@ pub(crate) fn run_battery_lanes(
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
-    let solo = BatteryLanes::from_template(template, 1);
     run_lane_population(
         pop,
-        solo,
+        BatteryLanes::from_template(template, 1),
         template.capacity(),
         template.stored_energy().value(),
         template.losses().value(),
-        0.0,
         LaneHarvest::Shared(table),
         plan,
         cancel,
@@ -421,9 +388,7 @@ pub(crate) fn run_battery_lanes(
 /// [`StoreLanes`] population, one lane per policy.
 ///
 /// [`LaneHarvest::Shared`] populations replay the class-wide table
-/// (cache counters are synthesized exactly as the scalar dense path
-/// does: every table read is a replay) and start on the uniform fast
-/// path (see the module docs). [`LaneHarvest::Jittered`] populations
+/// and start on the uniform fast path (see the module docs). [`LaneHarvest::Jittered`] populations
 /// drive the channel once per window over per-lane jittered snapshots.
 ///
 /// Returns `false` — with no outcomes pushed — when `cancel` trips,
@@ -435,7 +400,6 @@ fn run_lane_population<L: StoreLanes>(
     cap: Joules,
     initial_stored: f64,
     initial_losses: f64,
-    interp_deviation: f64,
     harvest: LaneHarvest<'_>,
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
@@ -475,9 +439,6 @@ fn run_lane_population<L: StoreLanes>(
     // fractional closer exactly as a scalar controller holds its last
     // resample.
     let mut held: Vec<Volts> = vec![Volts::ZERO; lanes_n];
-    // Channel solves per node (identical for every lane of the run);
-    // the remaining `plan.steps − calls` harvest reads are replays.
-    let mut calls = 0u64;
 
     // Per-window scratch from the policy prologue.
     let mut duties: Vec<DutyCycle> = vec![DutyCycle::ZERO; lanes_n];
@@ -569,7 +530,6 @@ fn run_lane_population<L: StoreLanes>(
             jenvs.extend(factors.iter().map(|f| f.apply(base)));
             if window_start < plan.full_steps {
                 ch.window_lanes(&jenvs, plan.dt, &mut whs);
-                calls += 1;
                 for i in 0..lanes_n {
                     held[i] = whs[i].operating_voltage;
                 }
@@ -586,7 +546,6 @@ fn run_lane_population<L: StoreLanes>(
             if frac_step {
                 if let Some(ch) = channel.as_mut() {
                     ch.frac_lanes(&jenvs, &held, step_dt, &mut fhs);
-                    calls += 1;
                 }
             }
 
@@ -718,14 +677,6 @@ fn run_lane_population<L: StoreLanes>(
         window_ordinal += 1;
     }
 
-    // Per-lane cache synthesis mirrors the scalar dense path: every
-    // harvest read beyond the run's own solves is a memoized replay.
-    let cache = CacheStats {
-        misses: calls,
-        hits: plan.steps - calls,
-        ..CacheStats::default()
-    };
-
     let fold = |a: &LaneAcc, i: usize| -> NodeOutcome {
         let d_stored = lanes.stored_energy(i) - initial_stored;
         let d_losses = lanes.losses(i) - initial_losses;
@@ -756,8 +707,6 @@ fn run_lane_population<L: StoreLanes>(
             residual_signed,
             throughput,
             stranded: Joules::ZERO,
-            cache,
-            interp_deviation,
         }
     };
 

@@ -108,8 +108,8 @@ pub use observe::{
 pub use parallel::{par_map, par_map_instrumented, par_map_with, thread_count};
 pub use platform::Platform;
 pub use runner::{
-    publish_kernel_cache_stats, run_simulation, run_simulation_cancellable,
-    run_simulation_observed, SimConfig, SimResult, SimTraces,
+    run_simulation, run_simulation_cancellable, run_simulation_observed, SimConfig, SimResult,
+    SimTraces,
 };
 pub use sweep::{
     crossover, day_grid, first_meeting, geometric_grid, par_sweep, par_sweep_with_threads, sweep,

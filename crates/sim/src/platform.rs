@@ -2,7 +2,6 @@
 
 use mseh_core::{PowerUnit, SmartNetwork, StepReport};
 use mseh_env::EnvConditions;
-use mseh_harvesters::CacheStats;
 use mseh_node::EnergyStatus;
 use mseh_units::{Joules, Seconds, Watts};
 
@@ -47,29 +46,6 @@ pub trait Platform {
     /// wrapper is active.
     fn stranded_energy(&self) -> Joules {
         Joules::ZERO
-    }
-
-    /// Aggregated operating-point kernel-cache counters (channel step
-    /// memos plus harvester solve caches). Platforms without caches
-    /// report all-zero stats.
-    fn kernel_cache_stats(&self) -> CacheStats {
-        CacheStats::default()
-    }
-
-    /// Enables or disables the platform's operating-point kernel caches.
-    /// Disabling drops stored entries so every step solves from scratch
-    /// (the uncached reference path). Default: no-op.
-    fn set_kernel_cache_enabled(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
-    /// Selects the kernel cache's key tier: `None` is the exact tier,
-    /// `Some(m)` the opt-in quantized tier truncating `m` low mantissa
-    /// bits of each ambient field before keying and solving (ULP-bounded
-    /// input perturbation below `2^(m−52)` relative, per field).
-    /// Default: no-op for platforms without caches.
-    fn set_kernel_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        let _ = drop_bits;
     }
 
     /// The platform's step split into its harvest and settle halves:
@@ -131,18 +107,6 @@ impl Platform for PowerUnit {
 
     fn stranded_energy(&self) -> Joules {
         PowerUnit::stranded_energy(self)
-    }
-
-    fn kernel_cache_stats(&self) -> CacheStats {
-        PowerUnit::kernel_cache_stats(self)
-    }
-
-    fn set_kernel_cache_enabled(&mut self, enabled: bool) {
-        PowerUnit::set_kernel_cache_enabled(self, enabled)
-    }
-
-    fn set_kernel_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        PowerUnit::set_kernel_cache_quantization(self, drop_bits)
     }
 
     fn supports_dense_kernels(&self) -> bool {

@@ -7,8 +7,7 @@
 //! controllers, supercap parameter sets, jitter settings and run
 //! geometry, because the batch kernels replicate the scalar iterate
 //! sequence under a convergence mask rather than inventing a new
-//! numerical scheme. The interpolated tier is checked against its
-//! deviation bound instead.
+//! numerical scheme. Every comparison is full-summary equality.
 
 use mseh_env::{EnvJitter, Environment};
 use mseh_harvesters::{FlowTurbine, PvModule, Rectenna, Teg};
@@ -172,14 +171,6 @@ fn run_tier(spec: &FleetSpec, tier: DenseSolveTier) -> FleetSummary {
     run_fleet(spec, FleetConfig::over(horizon()).with_dense_tier(tier)).summary
 }
 
-/// Cache counters aside (the batched jittered path books synthesized
-/// replay counts, the scalar path books the member channel's own), every
-/// physical quantity must agree bit for bit.
-fn modulo_cache(mut s: FleetSummary) -> FleetSummary {
-    s.kernel_cache = Default::default();
-    s
-}
-
 #[test]
 fn batched_matches_scalar_bitwise_across_presets_unjittered() {
     for preset in 0..PRESETS {
@@ -187,10 +178,7 @@ fn batched_matches_scalar_bitwise_across_presets_unjittered() {
             let spec = spec_for(preset, seed, EnvJitter::NONE, 9);
             let scalar = run_tier(&spec, DenseSolveTier::Scalar);
             let batched = run_tier(&spec, DenseSolveTier::Batched);
-            // Un-jittered groups replay the shared table on both tiers,
-            // so even the cache counters are identical: full equality.
             assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
-            assert_eq!(batched.interp_max_deviation, 0.0);
         }
     }
 }
@@ -209,11 +197,7 @@ fn batched_matches_scalar_bitwise_across_presets_jittered() {
             let spec = spec_for(preset, seed, EnvJitter::relative(0.25), 8);
             let scalar = run_tier(&spec, DenseSolveTier::Scalar);
             let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(
-                modulo_cache(batched),
-                modulo_cache(scalar),
-                "preset {preset}, seed {seed}"
-            );
+            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
         }
     }
 }
@@ -226,7 +210,6 @@ fn battery_batched_matches_scalar_bitwise_across_presets_unjittered() {
             let scalar = run_tier(&spec, DenseSolveTier::Scalar);
             let batched = run_tier(&spec, DenseSolveTier::Batched);
             assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
-            assert_eq!(batched.interp_max_deviation, 0.0);
         }
     }
 }
@@ -242,11 +225,7 @@ fn battery_batched_matches_scalar_bitwise_across_presets_jittered() {
             let spec = battery_spec_for(preset, seed, EnvJitter::relative(0.25), 8);
             let scalar = run_tier(&spec, DenseSolveTier::Scalar);
             let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(
-                modulo_cache(batched),
-                modulo_cache(scalar),
-                "preset {preset}, seed {seed}"
-            );
+            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
         }
     }
 }
@@ -271,18 +250,6 @@ fn battery_batched_tier_is_invariant_to_run_geometry() {
         .summary;
         assert_eq!(got, reference, "{threads} threads, shard {shard}");
     }
-}
-
-#[test]
-fn interpolated_tier_is_exact_for_battery_stores() {
-    // Battery lanes have no iterative inversion to tabulate, so the
-    // interpolated tier steps the exact batched kernels: full equality
-    // and a zero recorded deviation.
-    let spec = battery_spec_for(3, 5, EnvJitter::relative(0.15), 6);
-    let batched = run_tier(&spec, DenseSolveTier::Batched);
-    let interp = run_tier(&spec, DenseSolveTier::Interpolated { samples: 4096 });
-    assert_eq!(interp, batched);
-    assert_eq!(interp.interp_max_deviation, 0.0);
 }
 
 #[test]
@@ -311,38 +278,8 @@ fn batched_tier_is_invariant_to_run_geometry() {
 }
 
 #[test]
-fn interpolated_tier_records_its_deviation_and_still_audits() {
-    let spec = spec_for(3, 5, EnvJitter::relative(0.15), 6);
-    let exact = run_tier(&spec, DenseSolveTier::Batched);
-    let interp = run_tier(&spec, DenseSolveTier::Interpolated { samples: 4096 });
-
-    assert!(
-        interp.interp_max_deviation > 0.0,
-        "interpolation tier must record its probed deviation"
-    );
-    assert!(
-        interp.interp_max_deviation < 1e-3,
-        "4096-knot table should deviate below a millivolt, got {}",
-        interp.interp_max_deviation
-    );
-    // Conservation closes exactly — table residuals are charged to
-    // losses, not dropped.
-    assert!(interp.audit_relative < 1e-6);
-    assert!(interp.worst_node_audit < 1e-6);
-    // Physics stays close to the exact tier.
-    let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
-    assert!(rel(interp.harvested.value(), exact.harvested.value()) < 1e-6);
-    assert!(rel(interp.delivered.value(), exact.delivered.value()) < 1e-3);
-    assert!((interp.uptime.mean - exact.uptime.mean).abs() < 1e-3);
-}
-
-#[test]
 fn percentiles_and_stragglers_stay_ordered_on_every_tier() {
-    for tier in [
-        DenseSolveTier::Scalar,
-        DenseSolveTier::Batched,
-        DenseSolveTier::Interpolated { samples: 1024 },
-    ] {
+    for tier in [DenseSolveTier::Scalar, DenseSolveTier::Batched] {
         let spec = spec_for(0, 23, EnvJitter::relative(0.3), 17);
         let s = run_fleet(
             &spec,

@@ -30,9 +30,7 @@ use crate::storage::Storage;
 /// the self-discharge rate, and
 /// [`set_self_discharge_month`](Self::set_self_discharge_month) /
 /// [`invalidate_idle_memo`](Self::invalidate_idle_memo) drop it
-/// eagerly — the same edge-flush contract the channel solve memos
-/// follow on hot-swap and fault edges, so a rate change can never
-/// replay a stale `powf`.
+/// eagerly, so a rate change can never replay a stale `powf`.
 #[derive(Debug, Clone)]
 pub struct BatteryLanes {
     /// Usable capacity, joules (shared by every lane).
@@ -135,10 +133,9 @@ impl BatteryLanes {
         self.keep_memo = None;
     }
 
-    /// Drops the shared keep-factor memo unconditionally — the
-    /// hot-swap / fault-edge flush, matching the channel solve memos'
-    /// edge contract. The next idle pass re-evaluates the `powf` from
-    /// the current parameters.
+    /// Drops the shared keep-factor memo unconditionally (a hot-swap or
+    /// fault-edge flush). The next idle pass re-evaluates the `powf`
+    /// from the current parameters.
     pub fn invalidate_idle_memo(&mut self) {
         self.keep_memo = None;
     }

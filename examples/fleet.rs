@@ -161,9 +161,7 @@ fn main() {
     let started = Instant::now();
     // `Batched` is already the default dense tier; the builder is spelled
     // out here to show the knob — swap in `DenseSolveTier::Scalar` for
-    // the per-lane reference path (bit-identical, slower) or
-    // `DenseSolveTier::Interpolated { samples }` to trade exactness for
-    // speed with the deviation reported in `interp_max_deviation`.
+    // the per-lane reference path (bit-identical, slower).
     let config =
         FleetConfig::over(Seconds::from_hours(hours)).with_dense_tier(DenseSolveTier::Batched);
     let out = run_fleet(&spec, config);
@@ -197,12 +195,6 @@ fn main() {
         s.stranded_energy.value(),
         s.audit_relative,
         s.worst_node_audit
-    );
-    println!(
-        "kernel cache: {} hits / {} misses ({:.1} % hit rate)",
-        s.kernel_cache.hits,
-        s.kernel_cache.misses,
-        s.kernel_cache.hit_rate() * 100.0
     );
     println!();
     println!("worst nodes:");

@@ -56,17 +56,38 @@ echo "==> perf smoke (reduced budget, perf profile, writes target/BENCH_sim_quic
 # regression gate below compares like with like.
 cargo run --profile perf -q -p mseh-bench --bin perf -- --quick
 
+# First value of "key" in a perf JSON file (the same first-match read
+# every gate below has always made). Fails the run with a message when
+# the key is missing or its value is not a number, so a renamed or
+# dropped key can never pass a gate against an empty (zero) floor.
+perf_value() {
+    local key="$1" file="$2" value
+    value="$(awk -F': ' -v k="\"$key\"" 'index($0, k) { gsub(/[ ,]/, "", $2); print $2; exit }' "$file")"
+    if ! [[ "$value" =~ ^[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$ ]]; then
+        echo "FAIL: \"$key\" in $file is missing or not a number (got '$value')" >&2
+        return 1
+    fi
+    printf '%s\n' "$value"
+}
+
+# Fails unless the quick run's "key" is at least `keep` times the
+# committed baseline's.
+floor_gate() {
+    local key="$1" keep="$2" quick baseline
+    baseline="$(perf_value "$key" BENCH_sim.json)"
+    quick="$(perf_value "$key" target/BENCH_sim_quick.json)"
+    awk -v q="$quick" -v b="$baseline" -v keep="$keep" -v k="$key" 'BEGIN {
+        floor = b * keep
+        if (q + 0 < floor) {
+            printf "FAIL: %s %.1f is >%d%% below committed baseline %.1f (floor %.1f)\n", k, q, (1 - keep) * 100 + 0.5, b, floor
+            exit 1
+        }
+        printf "ok: %s %.1f vs committed %.1f (floor %.1f)\n", k, q, b, floor
+    }'
+}
+
 echo "==> perf regression gate (quick steps/s vs committed BENCH_sim.json)"
-baseline="$(awk -F': ' '/"steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-quick="$(awk -F': ' '/"steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$quick" -v b="$baseline" 'BEGIN {
-    floor = b * 0.8
-    if (q + 0 < floor) {
-        printf "FAIL: steps_per_sec %.1f is >20%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate steps_per_sec 0.8
 
 echo "==> fleet regression gate (quick node-steps/s vs committed BENCH_sim.json)"
 # First "node_steps_per_sec" in both files is the dense battery-class
@@ -75,47 +96,20 @@ echo "==> fleet regression gate (quick node-steps/s vs committed BENCH_sim.json)
 # row is seconds long and its rate swings ~±15% with host load, while
 # a real dense-lane regression (losing the shared table or the store
 # monomorphization) costs 5-8x.
-fleet_baseline="$(awk -F': ' '/"node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-fleet_quick="$(awk -F': ' '/"node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$fleet_quick" -v b="$fleet_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: fleet node_steps_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: fleet node_steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate node_steps_per_sec 0.7
 
 echo "==> dense-supercap regression gate (quick batched node-steps/s vs committed BENCH_sim.json)"
 # The batched struct-of-arrays tier's headline. Same 30% floor and
 # rationale as the fleet gate above; a real regression (losing the
 # batched tier and falling back to per-lane scalar Newton) costs ~10x.
-cap_baseline="$(awk -F': ' '/"dense_supercap_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-cap_quick="$(awk -F': ' '/"dense_supercap_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$cap_quick" -v b="$cap_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: dense_supercap_node_steps_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: dense_supercap_node_steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate dense_supercap_node_steps_per_sec 0.7
 
 echo "==> dense-battery regression gate (quick batched node-steps/s vs committed BENCH_sim.json)"
 # The battery-store batched lane (lane-shared keep-fraction powf plus
 # the uniform fast path). Same 30% floor and rationale as the gates
 # above; a real regression (losing the batched gate and falling back to
 # per-node scalar stepping) costs >10x.
-batt_baseline="$(awk -F': ' '/"dense_battery_batched_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-batt_quick="$(awk -F': ' '/"dense_battery_batched_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$batt_quick" -v b="$batt_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: dense_battery_batched_node_steps_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: dense_battery_batched_node_steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate dense_battery_batched_node_steps_per_sec 0.7
 
 echo "==> arena regression gate (quick policy-evals/s vs committed BENCH_sim.json)"
 # The policy-arena throughput headline. The arena times a fixed spec
@@ -123,22 +117,13 @@ echo "==> arena regression gate (quick policy-evals/s vs committed BENCH_sim.jso
 # identically; same 30% floor rationale as the fleet gates — a real
 # regression (losing the shared harvest table and re-solving per lane)
 # costs ~6x.
-arena_baseline="$(awk -F': ' '/"policy_evals_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-arena_quick="$(awk -F': ' '/"policy_evals_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$arena_quick" -v b="$arena_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: arena policy_evals_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: arena policy_evals_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate policy_evals_per_sec 0.7
 
 echo "==> arena amortization gate (32 lanes vs one standalone run)"
 # The tentpole claim: 32 policy lanes over one shared trace must cost
 # no more than 6x a single run — i.e. the shared-environment lockstep
 # amortization factor (32 x single / arena) stays >= 5.
-arena_amort="$(awk -F': ' '/"amortization_factor"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
+arena_amort="$(perf_value amortization_factor target/BENCH_sim_quick.json)"
 awk -v a="$arena_amort" 'BEGIN {
     if (a + 0 < 5.0) {
         printf "FAIL: arena amortization factor %.2f below the 5x floor\n", a
@@ -157,8 +142,7 @@ grep -q '"arena_lanes_match_independent_runs": true' target/BENCH_sim_quick.json
 echo "ok: all arena lanes bit-identical to independent runs"
 
 echo "==> batched-solve bit-identity smoke (supercap lane, batched vs scalar tier)"
-# The harness asserts full summary equality (cache counters included)
-# before writing the flag.
+# The harness asserts full summary equality before writing the flag.
 grep -q '"dense_supercap_batched_matches_scalar": true' target/BENCH_sim_quick.json || {
     echo "FAIL: batched supercap tier diverged from the scalar reference"
     exit 1
@@ -170,7 +154,7 @@ grep -q '"dense_battery_batched_matches_scalar": true' target/BENCH_sim_quick.js
     echo "FAIL: batched battery tier diverged from the scalar reference"
     exit 1
 }
-grep -q '"matches_plain_boxed_modulo_cache": true' target/BENCH_sim_quick.json || {
+grep -q '"matches_plain_boxed": true' target/BENCH_sim_quick.json || {
     echo "FAIL: opted-in boxed group diverged from the plain boxed path"
     exit 1
 }
@@ -188,15 +172,6 @@ grep -q '"thread_shard_invariant": true' target/BENCH_sim_quick.json || {
     exit 1
 }
 echo "ok: one-node fleet bit-identical to run_simulation; geometry invariant"
-
-echo "==> kernel-cache bit-identity smoke (System C, cached vs uncached)"
-# The harness itself asserts bit-identity before writing the flag; the
-# grep makes the gate visible even when the JSON came from an older run.
-grep -q '"cached_matches_uncached": true' target/BENCH_sim_quick.json || {
-    echo "FAIL: cached System C trace diverged from the uncached reference"
-    exit 1
-}
-echo "ok: cached System C trace bit-identical to uncached reference"
 
 echo "==> benchmark tests (perfbench package, built under .bench_build)"
 CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml

@@ -357,12 +357,8 @@ fn run(cmd: Command) -> Result<(), String> {
             let out = run_arena(&spec, ArenaConfig::over(Seconds::from_days(days)));
             let s = &out.summary;
             println!(
-                "{} lanes, {} steps each; kernel cache {} hits / {} misses; audit {:.2e}",
-                s.lanes,
-                s.steps_per_lane,
-                s.kernel_cache.hits,
-                s.kernel_cache.misses,
-                s.audit_relative
+                "{} lanes, {} steps each; audit {:.2e}",
+                s.lanes, s.steps_per_lane, s.audit_relative
             );
             println!(
                 "{:>4} | {:<24} | {:>8} | {:>8} | {:>7} | {:>10} | {:>9}",

@@ -50,8 +50,6 @@ const MAX_SEEDS: u64 = 4096;
 /// Largest accepted fleet shard size (one shard is one worker task; a
 /// larger value degrades progress streaming, not correctness).
 const MAX_SHARD_SIZE: u64 = 1 << 20;
-/// Largest accepted interpolation-table knot count for the dense tier.
-const MAX_INTERP_SAMPLES: u64 = 1 << 20;
 /// Largest accepted arena roster.
 const MAX_CONTENDERS: usize = 256;
 
@@ -149,32 +147,17 @@ pub fn make_roster(spec: &str) -> Result<Vec<Contender>, String> {
 }
 
 /// Parses a dense solve tier from its CLI/wire spelling
-/// (`scalar | batched | interp:<samples ≥ 2>`). The tier governs dense
-/// and opted-in groups; boxed groups without a dense class ignore it,
-/// so the digest of a plain boxed fleet is tier-invariant.
+/// (`scalar | batched`). The tier governs dense and opted-in groups;
+/// boxed groups without a dense class ignore it, so the digest of a
+/// plain boxed fleet is tier-invariant. Both tiers are bit-identical.
 pub fn parse_dense_tier(spec: &str) -> Result<DenseSolveTier, String> {
-    if let Some(samples) = spec.strip_prefix("interp:") {
-        let n: u64 = samples
-            .parse()
-            .map_err(|e| format!("interp samples: {e}"))?;
-        if !(2..=MAX_INTERP_SAMPLES).contains(&n) {
-            return Err(format!(
-                "interp samples must be in 2..={MAX_INTERP_SAMPLES}, got {n}"
-            ));
-        }
-        return Ok(DenseSolveTier::Interpolated {
-            samples: n as usize,
-        });
+    match spec {
+        "scalar" => Ok(DenseSolveTier::Scalar),
+        "batched" => Ok(DenseSolveTier::Batched),
+        other => Err(format!(
+            "unknown dense tier {other:?} (use scalar or batched)"
+        )),
     }
-    Ok(match spec {
-        "scalar" => DenseSolveTier::Scalar,
-        "batched" => DenseSolveTier::Batched,
-        other => {
-            return Err(format!(
-                "unknown dense tier {other:?} (use scalar, batched, or interp:<samples>)"
-            ))
-        }
-    })
 }
 
 /// Bit-exact digest of a single run's summary — the `digest` in a
@@ -239,7 +222,6 @@ pub fn digest_fleet(summary: &FleetSummary) -> u64 {
         .f64(summary.demanded.value())
         .f64(summary.converter_losses.value())
         .f64(summary.min_store_voltage.value())
-        .f64(summary.interp_max_deviation)
         .f64(summary.audit_relative)
         .finish()
 }
@@ -253,7 +235,6 @@ pub fn digest_arena(summary: &ArenaSummary) -> u64 {
         .u64(summary.lanes)
         .u64(summary.steps_per_lane)
         .f64(summary.duration.value())
-        .f64(summary.interp_max_deviation)
         .f64(summary.audit_relative);
     for s in &summary.standings {
         digest = digest
@@ -547,7 +528,7 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
                 return Ok(None);
             };
             let s = &result.summary;
-            let mut fields = vec![
+            let fields = vec![
                 ("population".into(), s.population.to_string()),
                 ("uptime_mean".into(), format!("{:.6}", s.uptime.mean)),
                 ("uptime_min".into(), format!("{:.6}", s.uptime.min)),
@@ -559,15 +540,6 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
                 ("delivered_j".into(), format!("{:.6}", s.delivered.value())),
                 ("audit".into(), format!("{:.3e}", s.audit_relative)),
             ];
-            // Interpolated runs report their accuracy envelope on the
-            // wire: the worst per-step voltage deviation any node's
-            // interpolated solve showed against the exact kernel.
-            if matches!(dense_tier, DenseSolveTier::Interpolated { .. }) {
-                fields.push((
-                    "interp_max_dev".into(),
-                    format!("{:.6e}", s.interp_max_deviation),
-                ));
-            }
             Ok(Some(JobOutput {
                 digest: digest_fleet(s),
                 fields,
@@ -754,7 +726,7 @@ mod tests {
                 "fleet",
                 &[
                     ("system", "A"),
-                    ("dense_tier", "interp:4096"),
+                    ("dense_tier", "scalar"),
                     ("shard_size", "8")
                 ]
             ))
@@ -765,7 +737,7 @@ mod tests {
         assert!(catalog
             .prepare(&spec(
                 "fleet",
-                &[("system", "A"), ("dense_tier", "interp:1")]
+                &[("system", "A"), ("dense_tier", "interp:4096")]
             ))
             .is_err());
         assert!(catalog
@@ -838,14 +810,11 @@ mod tests {
     fn dense_tier_spellings_round_trip() {
         assert_eq!(parse_dense_tier("scalar"), Ok(DenseSolveTier::Scalar));
         assert_eq!(parse_dense_tier("batched"), Ok(DenseSolveTier::Batched));
-        assert_eq!(
-            parse_dense_tier("interp:512"),
-            Ok(DenseSolveTier::Interpolated { samples: 512 })
-        );
-        assert!(parse_dense_tier("interp:").is_err());
-        assert!(parse_dense_tier("interp:1").is_err());
-        assert!(parse_dense_tier("interp:-4").is_err());
-        assert!(parse_dense_tier("INTERP:8").is_err());
+        // Unknown spellings are rejected with the list of valid tiers.
+        for removed in ["interp:512", "interp:", "BATCHED", ""] {
+            let err = parse_dense_tier(removed).expect_err(removed);
+            assert!(err.contains("scalar") && err.contains("batched"), "{err}");
+        }
     }
 
     #[test]

@@ -5,16 +5,14 @@
 //! 1. **Parallel-engine determinism** — fanning an ensemble across
 //!    worker threads must be observationally invisible: bit-for-bit the
 //!    same `SimResult`s, in the same seed order, as the sequential path.
-//! 2. **Kernel-cache transparency** — the operating-point solve caches
-//!    (channel step memos + harvester solve caches) must be bit-exact
-//!    replay, never approximation: a cached run equals the uncached
-//!    reference for every surveyed system, and hot-swap / fault edges
-//!    flush the affected memos so no stale answer survives a hardware
-//!    or fault transition.
+//! 2. **Rerun determinism across transitions** — a run that hot-swaps a
+//!    harvester or crosses a fault's fire and clear edges is a pure
+//!    function of its inputs: a rerun is bit-equal, and the energy books
+//!    stay closed through every transition.
 
 use mseh::core::{PortRequirement, PowerUnit, StoreRole};
 use mseh::env::Environment;
-use mseh::harvesters::{CacheStats, FlowTurbine, HarvesterKind, PvModule};
+use mseh::harvesters::{FlowTurbine, HarvesterKind, PvModule};
 use mseh::node::{FixedDuty, SensorNode};
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
@@ -147,67 +145,15 @@ fn default_pool_matches_sequential() {
 }
 
 // ---------------------------------------------------------------------
-// Kernel-cache transparency
+// Hot-swap and fault transitions
 // ---------------------------------------------------------------------
-
-/// Runs `unit` for one recorded day and returns the full result
-/// (traces included, so equality below is trace-deep).
-fn recorded_day(unit: &mut PowerUnit, env: &Environment) -> SimResult {
-    let config = SimConfig {
-        record: true,
-        ..SimConfig::over(Seconds::from_days(1.0))
-    };
-    run_simulation(
-        unit,
-        env,
-        &SensorNode::submilliwatt_class(),
-        &mut FixedDuty::new(DutyCycle::saturating(0.05)),
-        config,
-    )
-}
-
-/// The tentpole's exactness contract, system by system: for every
-/// surveyed platform (Table I, Systems A–G) a run with the kernel
-/// caches enabled is bit-for-bit identical — energy books, uptime,
-/// outage stats and recorded traces — to the uncached reference run.
-#[test]
-fn cached_runs_are_bit_identical_to_uncached_for_all_seven_systems() {
-    for id in SystemId::ALL {
-        let env = Environment::outdoor_temperate(42);
-
-        let mut warm = id.build();
-        let cached = recorded_day(&mut warm, &env);
-
-        let mut cold = id.build();
-        cold.set_kernel_cache_enabled(false);
-        let uncached = recorded_day(&mut cold, &env);
-
-        assert_eq!(cached, uncached, "{id}: cached run diverged");
-        // The reference path really ran cache-less: disabled caches
-        // count nothing.
-        assert_eq!(
-            cold.kernel_cache_stats(),
-            CacheStats::default(),
-            "{id}: uncached reference touched a cache"
-        );
-        // And the cached path really consulted its caches.
-        let stats = warm.kernel_cache_stats();
-        assert!(
-            stats.hits + stats.misses > 0,
-            "{id}: cached run never looked up a memo"
-        );
-    }
-}
 
 /// Runs System B for six hours, hot-swaps the wind module for a second
 /// PV module on the plug-and-play port, rebuilds the remaining channel
-/// through the wrap path (which must flush its memos), then continues
-/// another six hours through the environment's calendar.
-fn hot_swap_sequence(cached: bool) -> (SimResult, SimResult, CacheStats) {
+/// through the wrap path, then continues another six hours through the
+/// environment's calendar.
+fn hot_swap_sequence() -> (SimResult, SimResult) {
     let mut b = SystemId::B.build();
-    if !cached {
-        b.set_kernel_cache_enabled(false);
-    }
     let env = Environment::outdoor_temperate(99);
     let node = SensorNode::submilliwatt_class();
     let mut policy = FixedDuty::new(DutyCycle::saturating(0.05));
@@ -217,21 +163,14 @@ fn hot_swap_sequence(cached: bool) -> (SimResult, SimResult, CacheStats) {
     };
     let before = run_simulation(&mut b, &env, &node, &mut policy, config);
 
-    // Hot-swap: the wind module leaves — and its warmed cache leaves
-    // with it — and a fresh (cold) PV module takes the port.
+    // Hot-swap: the wind module leaves and a fresh PV module takes the
+    // port.
     b.detach_harvester(1).expect("wind module attached");
     let (channel, sheet) = system_b::harvester_module(HarvesterKind::Photovoltaic);
     b.attach_harvester(1, channel, Volts::new(4.1), Some(&sheet))
         .expect("plug-and-play port accepts the module");
-    // Rebuild the surviving channel through the wrap path: same device,
-    // but the swap machinery must flush its memos (an invalidation the
-    // counters make observable).
+    // Rebuild the surviving channel through the wrap path: same device.
     assert!(b.instrument_harvester(0, |h| h));
-    if !cached {
-        // The freshly attached module arrives with its cache enabled;
-        // the uncached reference must stay uncached.
-        b.set_kernel_cache_enabled(false);
-    }
 
     let after = run_simulation(
         &mut b,
@@ -240,37 +179,36 @@ fn hot_swap_sequence(cached: bool) -> (SimResult, SimResult, CacheStats) {
         &mut policy,
         config.starting_at(Seconds::from_hours(6.0)),
     );
-    (before, after, b.kernel_cache_stats())
+    (before, after)
 }
 
-/// Hot-swapping a harvester mid-run flushes the swapped component's
-/// solve memos: both the segment before and the segment after the swap
-/// are bit-identical to a reference that never cached anything, and the
-/// wrap path's flush shows up in the invalidation counters.
+/// Hot-swapping a harvester mid-run keeps both segments' books closed,
+/// and a rerun of the whole sequence is bit-equal, traces included.
 #[test]
-fn hot_swap_mid_run_flushes_memos_and_matches_cold_run() {
-    let (warm_before, warm_after, warm_stats) = hot_swap_sequence(true);
-    let (cold_before, cold_after, _) = hot_swap_sequence(false);
-    assert_eq!(warm_before, cold_before, "pre-swap segment diverged");
-    assert_eq!(warm_after, cold_after, "post-swap segment diverged");
+fn hot_swap_mid_run_conserves_and_reruns_bit_identically() {
+    let (before, after) = hot_swap_sequence();
     assert!(
-        warm_stats.invalidations >= 1,
-        "wrap path must flush memos: {warm_stats:?}"
+        before.audit_residual < 1e-6,
+        "pre-swap audit {}",
+        before.audit_residual
     );
+    assert!(
+        after.audit_residual < 1e-6,
+        "post-swap audit {}",
+        after.audit_residual
+    );
+    assert_eq!(hot_swap_sequence(), (before, after), "rerun diverged");
 }
 
 /// Runs the two-source rig with a glitching PV harvester (one dropout
 /// firing at hour 4, clearing at hour 7) under a conservation audit.
-fn glitching_run(cached: bool) -> (SimResult, (u64, u64), f64) {
+fn glitching_run() -> (SimResult, (u64, u64), f64) {
     let mut unit = rig();
     let schedule =
         FaultSchedule::one_shot_recovering(Seconds::from_hours(4.0), Seconds::from_hours(3.0));
     assert!(unit.instrument_harvester(0, |inner| {
         Box::new(GlitchingHarvester::new(inner, schedule))
     }));
-    if !cached {
-        unit.set_kernel_cache_enabled(false);
-    }
     let mut auditor = ConservationAuditor::new();
     let config = SimConfig {
         record: true,
@@ -287,17 +225,13 @@ fn glitching_run(cached: bool) -> (SimResult, (u64, u64), f64) {
     (result, unit.fault_counts(), auditor.report().worst_relative)
 }
 
-/// A fault firing and clearing mid-run flushes the wrapped harvester's
-/// solve cache on each edge: the cached faulted run is bit-identical to
-/// the uncached faulted run, and the books stay closed through both
-/// transitions.
+/// A fault firing and clearing mid-run surfaces both edges, the books
+/// stay closed through both transitions, and a rerun is bit-equal.
 #[test]
-fn fault_fire_and_clear_flush_matches_cold_run() {
-    let (warm, warm_faults, warm_audit) = glitching_run(true);
-    let (cold, cold_faults, cold_audit) = glitching_run(false);
-    assert_eq!(warm, cold, "faulted cached run diverged from uncached");
-    assert_eq!(warm_faults, (1, 1), "dropout must fire and clear");
-    assert_eq!(cold_faults, (1, 1));
-    assert!(warm_audit < 1e-6, "cached audit {warm_audit}");
-    assert!(cold_audit < 1e-6, "uncached audit {cold_audit}");
+fn fault_fire_and_clear_conserve_and_rerun_bit_identically() {
+    let (run, faults, audit) = glitching_run();
+    assert_eq!(faults, (1, 1), "dropout must fire and clear");
+    assert!(audit < 1e-6, "audit {audit}");
+    let (rerun, _, _) = glitching_run();
+    assert_eq!(run, rerun, "faulted rerun diverged");
 }

@@ -2,11 +2,14 @@
 //! contracts, checked against the single-run kernel and across every
 //! execution geometry (threads × shard sizes).
 
-use mseh::env::{EnvJitter, Environment};
-use mseh::node::{FixedDuty, SensorNode, VoltageThreshold};
-use mseh::sim::{run_fleet, run_simulation, FleetConfig, FleetGroup, FleetSpec, SimConfig};
+use mseh::core::{PowerUnit, StepReport};
+use mseh::env::{EnvConditions, EnvJitter, Environment};
+use mseh::node::{EnergyStatus, FixedDuty, SensorNode, VoltageThreshold};
+use mseh::sim::{
+    run_fleet, run_simulation, FleetConfig, FleetGroup, FleetSpec, Platform, SimConfig,
+};
 use mseh::systems::SystemId;
-use mseh::units::{DutyCycle, Seconds};
+use mseh::units::{DutyCycle, Joules, Seconds, Watts};
 
 /// The environment each platform was designed for (same mapping as the
 /// all-systems suite).
@@ -71,6 +74,79 @@ fn one_node_fleet_matches_single_run_for_all_systems() {
         assert_eq!(fleet.summary.uptime.mean, reference.uptime);
         assert_eq!(fleet.summary.min_store_voltage, reference.min_store_voltage);
     }
+}
+
+/// A unit behind a forwarding platform that only implements `step`, so
+/// the fleet engine cannot split it and solves every step's harvest.
+struct StepOnly(PowerUnit);
+
+impl Platform for StepOnly {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
+        self.0.step(env, dt, load)
+    }
+    fn energy_status(&self) -> EnergyStatus {
+        self.0.energy_status()
+    }
+    fn total_stored_energy(&self) -> Joules {
+        self.0.total_stored_energy()
+    }
+    fn storage_losses(&self) -> Joules {
+        self.0.storage_losses()
+    }
+    fn storage_capacity(&self) -> Joules {
+        self.0.storage_capacity()
+    }
+}
+
+/// Under per-window cadence a boxed node that can split its step
+/// replays the window head's harvest while its unit reports the harvest
+/// replayable. For every Table-I system, jittered and with a fractional
+/// closing step inside the last window, that equals solving every step
+/// in full.
+#[test]
+fn per_window_head_replay_matches_solving_every_step() {
+    let horizon = Seconds::from_hours(6.0) + Seconds::new(150.0);
+    let mut replayable = 0;
+    for id in SystemId::ALL {
+        let run = |split: bool| {
+            let mut spec = FleetSpec::new();
+            let site = spec.add_site(natural_environment(id));
+            spec.add_group(
+                FleetGroup::new(
+                    id.display_name(),
+                    3,
+                    site,
+                    natural_node(id),
+                    move |_| {
+                        if split {
+                            Box::new(id.build())
+                        } else {
+                            Box::new(StepOnly(id.build()))
+                        }
+                    },
+                    |_| Box::new(VoltageThreshold::supercap_ladder()),
+                )
+                .with_seed(5)
+                .with_jitter(EnvJitter::relative(0.1)),
+            );
+            let config = FleetConfig {
+                keep_node_results: true,
+                ..FleetConfig::over(horizon)
+            };
+            run_fleet(&spec, config)
+        };
+        assert_eq!(run(true), run(false), "{}", id.display_name());
+
+        let mut unit = id.build();
+        let dt = FleetConfig::over(horizon).sim.dt;
+        unit.harvest(&natural_environment(id).conditions(Seconds::ZERO), dt);
+        replayable += usize::from(unit.is_harvest_replayable(dt));
+    }
+    // Non-vacuity: some systems really take the replay path.
+    assert!(replayable > 0, "no Table-I system replays its harvest");
 }
 
 /// A mixed two-site, three-group fleet used by the geometry and audit

@@ -250,41 +250,39 @@ fn batched_tier_fleet_job_digest_matches_direct_run_bit_for_bit() {
 }
 
 #[test]
-fn interpolated_fleet_job_reports_its_deviation_envelope_on_the_wire() {
+fn removed_interp_tier_is_rejected_and_daemon_keeps_serving() {
     let handle = start(8, 2);
     let mut client = Client::connect(&handle);
 
-    let result = run_to_result(
-        &mut client,
+    // `interp:<n>` is not a tier: exactly one error line answers it, and
+    // it names the valid tiers.
+    let reply = client.roundtrip(
         "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;\
-         dense_tier=interp:64",
+         dense_tier=interp:4096",
     );
-    let wire_dev = field(&result, "interp_max_dev").expect("interp_max_dev field");
+    assert!(reply.starts_with("err "), "got {reply}");
+    assert_eq!(field(&reply, "code").as_deref(), Some("bad_spec"));
+    assert!(
+        reply.contains("scalar") && reply.contains("batched"),
+        "error must name the valid tiers: {reply}"
+    );
+    // Nothing else was queued behind the error: the next line answers
+    // the next request.
+    assert_eq!(client.roundtrip("ping"), "ok pong=1");
 
-    // Round-trip: the wire value must be exactly the direct run's
-    // summary field under the same formatting.
-    let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.0);
-    let direct = run_fleet(
-        &spec,
-        fleet_config(0.1, DenseSolveTier::Interpolated { samples: 64 }, 16),
-    );
-    assert_eq!(
-        wire_dev,
-        format!("{:.6e}", direct.summary.interp_max_deviation),
-        "wire deviation envelope and direct run disagree"
-    );
-    assert_eq!(
-        field(&result, "digest").expect("digest"),
-        format!("{:016x}", digest_fleet(&direct.summary)),
-    );
-
-    // Exact tiers don't carry the field: there is no envelope to report.
-    let exact = run_to_result(
+    // The daemon is still up and serves the next valid fleet job.
+    let result = run_to_result(
         &mut client,
         "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;\
          dense_tier=batched",
     );
-    assert!(field(&exact, "interp_max_dev").is_none());
+    assert_eq!(field(&result, "state").as_deref(), Some("done"));
+    let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.0);
+    let direct = run_fleet(&spec, fleet_config(0.1, DenseSolveTier::Batched, 16));
+    assert_eq!(
+        field(&result, "digest").expect("digest"),
+        format!("{:016x}", digest_fleet(&direct.summary)),
+    );
 
     handle.shutdown_and_wait();
 }
@@ -445,7 +443,7 @@ fn malformed_specs_get_protocol_errors_and_daemon_survives() {
         "submit kind=single;system=A;days=-1",
         // Solve-tier and shard knobs: bad spellings and ranges.
         "submit kind=fleet;system=A;dense_tier=warp",
-        "submit kind=fleet;system=A;dense_tier=interp:1",
+        "submit kind=fleet;system=A;dense_tier=interp:64",
         "submit kind=fleet;system=A;shard_size=0",
         "submit kind=single;system=A;dense_tier=batched",
         // Arena specs: bad rosters, bad seed counts, fleet-only knobs.
