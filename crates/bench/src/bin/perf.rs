@@ -31,16 +31,18 @@ use mseh_core::{
 };
 use mseh_env::{EnvJitter, Environment};
 use mseh_harvesters::PvModule;
-use mseh_node::{FixedDuty, HillClimbDuty, MonitoringLevel, SensorNode, VoltageThreshold};
+use mseh_node::{
+    DutyCyclePolicy, FixedDuty, HillClimbDuty, MonitoringLevel, SensorNode, VoltageThreshold,
+};
 use mseh_power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh_sim::{
     default_contenders, run_arena, run_fleet, run_resilience_campaign_with_threads,
     run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation, run_simulation_observed,
     ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup,
-    DenseSolveTier, DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver,
-    SimConfig, SimResult, Tandem,
+    DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver, SimConfig,
+    SimResult, Tandem,
 };
-use mseh_storage::{Battery, Supercap};
+use mseh_storage::{Battery, Storage, Supercap};
 use mseh_systems::{resilience, SystemId};
 use mseh_units::{DutyCycle, Seconds, Volts, Watts};
 
@@ -61,15 +63,14 @@ const SEEDS: [u64; 16] = [
     3, 17, 101, 444, 1234, 9000, 31337, 99999, 7, 21, 55, 89, 144, 233, 377, 610,
 ];
 
-/// Fixed scale for the batched-tier rate rows: the same population and
+/// Fixed scale for the dense-lane rate rows: the same population and
 /// horizon in quick and full mode, so check.sh's quick-vs-committed
 /// regression gates compare identical specs. The uniform fast path
 /// makes lane rates strongly scale-dependent (a homogeneous population
 /// steps as one lane until duties diverge), so a quick-scale rate is
-/// not comparable to the committed full-scale one; the batched tier is
-/// cheap enough to time at full scale even in quick mode, while the
-/// scalar references are per-node-bound, scale-robust, and stay at the
-/// mode's budget.
+/// not comparable to the committed full-scale one; the lanes are cheap
+/// enough to time at full scale even in quick mode, while their boxed
+/// reference runs are per-node-bound and stay at the mode's budget.
 const BATCHED_RATE_NODES: usize = 200_000;
 const BATCHED_RATE_HOURS: f64 = 24.0;
 
@@ -95,11 +96,26 @@ fn pv_channel() -> InputChannel {
     )
 }
 
-/// A dense battery-class group: PV + NiMH pair at 50 % state of charge.
-fn dense_battery_group(name: &'static str, count: usize, site: usize, seed: u64) -> DenseGroup {
+/// The battery-class store: NiMH pair at 50 % state of charge.
+fn nimh() -> Battery {
     let mut battery = Battery::nimh_aa_pair();
     battery.set_soc(0.5);
-    let policy_duty = DutyCycle::saturating(0.05);
+    battery
+}
+
+/// The supercap-class store: 22 F EDLC pre-charged to 1.8 V.
+fn edlc() -> Supercap {
+    let mut cap = Supercap::edlc_22f();
+    cap.set_voltage(Volts::new(1.8));
+    cap
+}
+
+fn ladder(_: u64) -> Box<dyn DutyCyclePolicy> {
+    Box::new(VoltageThreshold::supercap_ladder())
+}
+
+/// A dense battery-class group: PV + NiMH, fixed 5 % duty.
+fn dense_battery_group(name: &'static str, count: usize, site: usize, seed: u64) -> DenseGroup {
     DenseGroup::new(
         name,
         count,
@@ -107,16 +123,14 @@ fn dense_battery_group(name: &'static str, count: usize, site: usize, seed: u64)
         SensorNode::submilliwatt_class(),
         pv_channel,
         DcDcConverter::buck_boost_3v3(),
-        DenseStore::Battery(battery),
-        move |_| Box::new(FixedDuty::new(policy_duty)),
+        DenseStore::Battery(nimh()),
+        |_| Box::new(duty()),
     )
     .with_seed(seed)
 }
 
-/// A dense supercap-class group: PV + 22 F EDLC pre-charged to 1.8 V.
+/// A dense supercap-class group: PV + EDLC under the voltage ladder.
 fn dense_supercap_group(name: &'static str, count: usize, site: usize, seed: u64) -> DenseGroup {
-    let mut cap = Supercap::edlc_22f();
-    cap.set_voltage(Volts::new(1.8));
     DenseGroup::new(
         name,
         count,
@@ -124,17 +138,73 @@ fn dense_supercap_group(name: &'static str, count: usize, site: usize, seed: u64
         SensorNode::submilliwatt_class(),
         pv_channel,
         DcDcConverter::buck_boost_3v3(),
-        DenseStore::Supercap(cap),
-        |_| Box::new(VoltageThreshold::supercap_ladder()),
+        DenseStore::Supercap(edlc()),
+        ladder,
     )
     .with_seed(seed)
 }
+
+/// A boxed PV node: `pv_channel` into `store` through the buck-boost
+/// rail, under `supervisor`.
+fn pv_unit(name: &str, store: Box<dyn Storage>, supervisor: Supervisor) -> PowerUnit {
+    PowerUnit::builder(name)
+        .harvester_port(
+            PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
+            Some(pv_channel()),
+            true,
+        )
+        .store_port(
+            PortRequirement::any_in_window("buf", Volts::ZERO, Volts::new(3.0)),
+            Some(store),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(supervisor)
+        .build()
+}
+
+/// The boxed twin of a one-group dense fleet at the dense rows' site:
+/// the same group name, seed and policy, each node a [`pv_unit`] with
+/// the dense group's default supervisor (zero overhead, full
+/// monitoring). The dense lanes must equal it in full summary equality.
+fn boxed_twin_spec(
+    name: &'static str,
+    count: usize,
+    seed: u64,
+    store: fn() -> Box<dyn Storage>,
+    policy: fn(u64) -> Box<dyn DutyCyclePolicy>,
+) -> FleetSpec {
+    let mut supervisor = Supervisor::none();
+    supervisor.monitoring = MonitoringLevel::Full;
+    let mut spec = FleetSpec::new();
+    let site = spec.add_site(Environment::outdoor_temperate(42));
+    spec.add_group(
+        FleetGroup::new(
+            name,
+            count,
+            site,
+            SensorNode::submilliwatt_class(),
+            move |_| Box::new(pv_unit("boxed twin", store(), supervisor)),
+            policy,
+        )
+        .with_seed(seed),
+    );
+    spec
+}
+
+/// Group name and seed of [`dense_fleet_spec`]'s group.
+const DENSE_BATTERY_NAME: &str = "dense solar+NiMH";
+const DENSE_BATTERY_SEED: u64 = 1;
+/// Group name and seed of [`dense_supercap_fleet_spec`]'s group.
+const DENSE_SUPERCAP_NAME: &str = "dense solar+EDLC (supercap class)";
+const DENSE_SUPERCAP_SEED: u64 = 5;
 
 /// One-group dense battery-class fleet (the throughput headline).
 fn dense_fleet_spec(count: usize, jitter: Option<f64>) -> FleetSpec {
     let mut spec = FleetSpec::new();
     let site = spec.add_site(Environment::outdoor_temperate(42));
-    let mut group = dense_battery_group("dense solar+NiMH", count, site, 1);
+    let mut group = dense_battery_group(DENSE_BATTERY_NAME, count, site, DENSE_BATTERY_SEED);
     if let Some(rel) = jitter {
         group = group.with_jitter(EnvJitter::relative(rel));
     }
@@ -149,10 +219,10 @@ fn dense_supercap_fleet_spec(count: usize) -> FleetSpec {
     let mut spec = FleetSpec::new();
     let site = spec.add_site(Environment::outdoor_temperate(42));
     spec.add_dense_group(dense_supercap_group(
-        "dense solar+EDLC (supercap class)",
+        DENSE_SUPERCAP_NAME,
         count,
         site,
-        5,
+        DENSE_SUPERCAP_SEED,
     ));
     spec
 }
@@ -163,9 +233,6 @@ fn dense_supercap_fleet_spec(count: usize) -> FleetSpec {
 /// boxed per-node bookkeeping; without it the same factories run
 /// through plain boxed `Platform::step` calls.
 fn boxed_battery_fleet_spec(count: usize, opt_in: bool) -> FleetSpec {
-    let mut battery = Battery::nimh_aa_pair();
-    battery.set_soc(0.5);
-    let template = battery.clone();
     let mut spec = FleetSpec::new();
     let site = spec.add_site(Environment::outdoor_temperate(42));
     let mut group = FleetGroup::new(
@@ -173,23 +240,12 @@ fn boxed_battery_fleet_spec(count: usize, opt_in: bool) -> FleetSpec {
         count,
         site,
         SensorNode::submilliwatt_class(),
-        move |_| {
-            Box::new(
-                PowerUnit::builder("boxed solar+NiMH")
-                    .harvester_port(
-                        PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
-                        Some(pv_channel()),
-                        true,
-                    )
-                    .store_port(
-                        PortRequirement::any_in_window("battery", Volts::ZERO, Volts::new(3.0)),
-                        Some(Box::new(battery.clone())),
-                        StoreRole::PrimaryBuffer,
-                        true,
-                    )
-                    .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-                    .build(),
-            )
+        |_| {
+            Box::new(pv_unit(
+                "boxed solar+NiMH",
+                Box::new(nimh()),
+                Supervisor::none(),
+            ))
         },
         |_| Box::new(duty()),
     )
@@ -199,20 +255,13 @@ fn boxed_battery_fleet_spec(count: usize, opt_in: bool) -> FleetSpec {
             DenseClass::new(
                 pv_channel,
                 DcDcConverter::buck_boost_3v3(),
-                DenseStore::Battery(template),
+                DenseStore::Battery(nimh()),
             )
             .with_monitoring(MonitoringLevel::None),
         );
     }
     spec.add_group(group);
     spec
-}
-
-/// The arena scenario's store: 22 F EDLC pre-charged to 1.8 V.
-fn arena_cap() -> Supercap {
-    let mut cap = Supercap::edlc_22f();
-    cap.set_voltage(Volts::new(1.8));
-    cap
 }
 
 /// Full-monitoring supervisor for the arena rigs, so the adaptive
@@ -229,21 +278,7 @@ fn arena_supervisor() -> Supervisor {
 /// The boxed equivalent of [`arena_class`]: what one independent
 /// `run_simulation` of an arena lane steps.
 fn arena_unit() -> PowerUnit {
-    PowerUnit::builder("arena rig")
-        .harvester_port(
-            PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
-            Some(pv_channel()),
-            true,
-        )
-        .store_port(
-            PortRequirement::any_in_window("buf", Volts::ZERO, Volts::new(3.0)),
-            Some(Box::new(arena_cap())),
-            StoreRole::PrimaryBuffer,
-            true,
-        )
-        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-        .supervisor(arena_supervisor())
-        .build()
+    pv_unit("arena rig", Box::new(edlc()), arena_supervisor())
 }
 
 /// The dense declaration of exactly the hardware in [`arena_unit`]
@@ -252,7 +287,7 @@ fn arena_class() -> DenseClass {
     DenseClass::new(
         pv_channel,
         DcDcConverter::buck_boost_3v3(),
-        DenseStore::Supercap(arena_cap()),
+        DenseStore::Supercap(edlc()),
     )
 }
 
@@ -762,35 +797,36 @@ fn main() {
         });
     }
 
-    // --- Dense supercap lane: batched vs scalar solve tiers. --------
-    // The batched struct-of-arrays tier must reproduce the scalar tier
-    // bit for bit (the check.sh identity smoke rides on this assert).
+    // --- Dense supercap lane vs its boxed twins. --------------------
+    // The struct-of-arrays lanes must reproduce the same nodes built as
+    // boxed PowerUnits bit for bit (the check.sh identity smoke rides on
+    // this assert). The equality spec stays at the mode's budget: the
+    // boxed reference is per-node-bound.
     let (cap_n, cap_h) = if quick { (5_000, 2.0) } else { (50_000, 24.0) };
-    let cap_spec = dense_supercap_fleet_spec(cap_n);
-    let cap_horizon = Seconds::from_hours(cap_h);
-    let (_, cap_summary) = time_fleet(
-        &cap_spec,
-        FleetConfig::over(cap_horizon).with_dense_tier(DenseSolveTier::Batched),
-    );
-    let (cap_scalar_secs, cap_scalar_summary) = time_fleet(
-        &cap_spec,
-        FleetConfig::over(cap_horizon).with_dense_tier(DenseSolveTier::Scalar),
-    );
+    let cap_config = FleetConfig::over(Seconds::from_hours(cap_h));
+    let cap_summary = run_fleet(&dense_supercap_fleet_spec(cap_n), cap_config).summary;
+    let cap_boxed_summary = run_fleet(
+        &boxed_twin_spec(
+            DENSE_SUPERCAP_NAME,
+            cap_n,
+            DENSE_SUPERCAP_SEED,
+            || Box::new(edlc()),
+            ladder,
+        ),
+        cap_config,
+    )
+    .summary;
     assert_eq!(
-        cap_summary, cap_scalar_summary,
-        "batched supercap tier diverged from the scalar reference"
+        cap_summary, cap_boxed_summary,
+        "dense supercap lanes diverged from their boxed twins"
     );
     assert!(cap_summary.audit_relative < 1e-6);
     assert!(cap_summary.worst_node_audit < 1e-6);
     // The gated rate row runs at the fixed baseline scale in both modes
-    // (see BATCHED_RATE_NODES) so check.sh compares identical specs;
-    // the equality assert and the scalar reference above stay
-    // at the mode's budget. In full mode the equality spec is smaller
-    // only because its scalar reference is per-node-bound.
-    let cap_rate_horizon = Seconds::from_hours(BATCHED_RATE_HOURS);
+    // (see BATCHED_RATE_NODES) so check.sh compares identical specs.
     let (cap_rate_secs, cap_rate_summary) = time_fleet_reps(
         &dense_supercap_fleet_spec(BATCHED_RATE_NODES),
-        FleetConfig::over(cap_rate_horizon).with_dense_tier(DenseSolveTier::Batched),
+        FleetConfig::over(Seconds::from_hours(BATCHED_RATE_HOURS)),
         RATE_ROW_REPS,
     );
     assert!(cap_rate_summary.audit_relative < 1e-6);
@@ -798,14 +834,11 @@ fn main() {
     let cap_population = cap_rate_summary.population;
     let cap_steps_per_node = cap_rate_summary.steps_per_node;
     let cap_rate = cap_rate_summary.node_steps as f64 / cap_rate_secs;
-    let cap_scalar_rate = cap_scalar_summary.node_steps as f64 / cap_scalar_secs;
-    let cap_speedup = cap_rate / cap_scalar_rate;
     println!(
         "fleet      : dense solar+EDLC (supercap class): {cap_population} nodes \u{d7} \
-         {cap_steps_per_node} steps, batched {:.2} M node-steps/s vs scalar {:.2} M \
-         (\u{d7}{cap_speedup:.1}), batched \u{2261} scalar",
+         {cap_steps_per_node} steps, lanes {:.2} M node-steps/s; lanes \u{2261} boxed twins \
+         ({cap_n} nodes \u{d7} {cap_h} h)",
         cap_rate / 1e6,
-        cap_scalar_rate / 1e6,
     );
     fleet_rows.push(FleetRow {
         name: "dense solar+EDLC (supercap class)",
@@ -814,35 +847,36 @@ fn main() {
         summary: cap_rate_summary,
     });
 
-    // --- Dense battery lane: batched vs scalar solve tiers. ---------
-    // Same gate as the supercap lane: full-summary equality first,
-    // then the recorded rates. The batched battery lane shares one
-    // keep-fraction powf per distinct dt across the population and
-    // rides the uniform fast path while a homogeneous population's
-    // duties agree.
+    // --- Dense battery lane vs its boxed twins. ---------------------
+    // Same gate as the supercap lane: full-summary equality first, then
+    // the recorded rate. The battery lanes share one keep-fraction powf
+    // per distinct dt across the population and ride the uniform fast
+    // path while a homogeneous population's duties agree.
     let (batt_n, batt_h) = if quick { (5_000, 2.0) } else { (50_000, 24.0) };
-    let batt_spec = dense_fleet_spec(batt_n, None);
-    let batt_horizon = Seconds::from_hours(batt_h);
-    let (_, batt_summary) = time_fleet(
-        &batt_spec,
-        FleetConfig::over(batt_horizon).with_dense_tier(DenseSolveTier::Batched),
-    );
-    let (batt_scalar_secs, batt_scalar_summary) = time_fleet(
-        &batt_spec,
-        FleetConfig::over(batt_horizon).with_dense_tier(DenseSolveTier::Scalar),
-    );
+    let batt_config = FleetConfig::over(Seconds::from_hours(batt_h));
+    let batt_summary = run_fleet(&dense_fleet_spec(batt_n, None), batt_config).summary;
+    let batt_boxed_summary = run_fleet(
+        &boxed_twin_spec(
+            DENSE_BATTERY_NAME,
+            batt_n,
+            DENSE_BATTERY_SEED,
+            || Box::new(nimh()),
+            |_| Box::new(duty()),
+        ),
+        batt_config,
+    )
+    .summary;
     assert_eq!(
-        batt_summary, batt_scalar_summary,
-        "batched battery tier diverged from the scalar reference"
+        batt_summary, batt_boxed_summary,
+        "dense battery lanes diverged from their boxed twins"
     );
     assert!(batt_summary.audit_relative < 1e-6);
     assert!(batt_summary.worst_node_audit < 1e-6);
     // Gated rate row at the fixed baseline scale, as for the supercap
-    // lane above; the scalar reference stays at the mode's budget.
-    let batt_rate_horizon = Seconds::from_hours(BATCHED_RATE_HOURS);
+    // lane above.
     let (batt_rate_secs, batt_rate_summary) = time_fleet_reps(
         &dense_fleet_spec(BATCHED_RATE_NODES, None),
-        FleetConfig::over(batt_rate_horizon).with_dense_tier(DenseSolveTier::Batched),
+        FleetConfig::over(Seconds::from_hours(BATCHED_RATE_HOURS)),
         RATE_ROW_REPS,
     );
     assert!(batt_rate_summary.audit_relative < 1e-6);
@@ -850,14 +884,11 @@ fn main() {
     let batt_population = batt_rate_summary.population;
     let batt_steps_per_node = batt_rate_summary.steps_per_node;
     let batt_rate = batt_rate_summary.node_steps as f64 / batt_rate_secs;
-    let batt_scalar_rate = batt_scalar_summary.node_steps as f64 / batt_scalar_secs;
-    let batt_speedup = batt_rate / batt_scalar_rate;
     println!(
         "fleet      : dense solar+NiMH (battery class): {batt_population} nodes \u{d7} \
-         {batt_steps_per_node} steps, batched {:.2} M node-steps/s vs scalar {:.2} M \
-         (\u{d7}{batt_speedup:.1}), batched \u{2261} scalar",
+         {batt_steps_per_node} steps, lanes {:.2} M node-steps/s; lanes \u{2261} boxed twins \
+         ({batt_n} nodes \u{d7} {batt_h} h)",
         batt_rate / 1e6,
-        batt_scalar_rate / 1e6,
     );
 
     // --- Boxed opt-in: the same battery class via with_dense_class. --
@@ -1048,7 +1079,7 @@ fn main() {
     // --- Emit BENCH_sim.json. ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v9\",");
+    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v10\",");
     let _ = writeln!(
         json,
         "  \"scenario\": \"System C, outdoor temperate, 60 s steps, fixed 5% duty\","
@@ -1164,36 +1195,22 @@ fn main() {
     let _ = writeln!(json, "      \"population\": {cap_population},");
     let _ = writeln!(json, "      \"steps_per_node\": {cap_steps_per_node},");
     let _ = writeln!(json, "      \"threads\": {host_threads},");
-    let _ = writeln!(
-        json,
-        "      \"dense_supercap_batched_matches_scalar\": true,"
-    );
+    let _ = writeln!(json, "      \"dense_supercap_matches_boxed\": true,");
     let _ = writeln!(
         json,
         "      \"dense_supercap_node_steps_per_sec\": {cap_rate:.1},"
     );
     let _ = writeln!(
         json,
-        "      \"dense_supercap_per_core_node_steps_per_sec\": {:.1},",
+        "      \"dense_supercap_per_core_node_steps_per_sec\": {:.1}",
         cap_rate / host_threads as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"dense_supercap_scalar_node_steps_per_sec\": {cap_scalar_rate:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "      \"dense_supercap_speedup_vs_scalar\": {cap_speedup:.2}"
     );
     let _ = writeln!(json, "    }},");
     let _ = writeln!(json, "    \"dense_battery_batched\": {{");
     let _ = writeln!(json, "      \"population\": {batt_population},");
     let _ = writeln!(json, "      \"steps_per_node\": {batt_steps_per_node},");
     let _ = writeln!(json, "      \"threads\": {host_threads},");
-    let _ = writeln!(
-        json,
-        "      \"dense_battery_batched_matches_scalar\": true,"
-    );
+    let _ = writeln!(json, "      \"dense_battery_matches_boxed\": true,");
     let _ = writeln!(
         json,
         "      \"dense_battery_batched_node_steps_per_sec\": {batt_rate:.1},"
@@ -1202,14 +1219,6 @@ fn main() {
         json,
         "      \"dense_battery_batched_per_core_node_steps_per_sec\": {:.1},",
         batt_rate / host_threads as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"dense_battery_scalar_node_steps_per_sec\": {batt_scalar_rate:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "      \"dense_battery_batched_speedup_vs_scalar\": {batt_speedup:.2},"
     );
     let _ = writeln!(json, "      \"boxed_opt_in\": {{");
     let _ = writeln!(json, "        \"population\": {optin_population},");

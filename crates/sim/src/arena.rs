@@ -34,7 +34,11 @@
 //! bit-identical to an independent [`run_simulation`] of that policy
 //! against the same scenario — same iterate sequence, full-summary
 //! equality — because the lane arithmetic is the fleet engine's, which
-//! carries that contract already. Seeds fan out across threads via the
+//! carries that contract already: dense lanes replicate the boxed step
+//! with the boxed path as their reference, and every lane books its
+//! steps through the single-run kernel's `NodeBooks`. Dense and boxed
+//! arenas of the same rig agree lane for lane (tested). Seeds fan out
+//! across threads via the
 //! sharded [`par_map_with`] merge and fold in seed order, so results
 //! are bit-identical at any thread count. Rankings therefore reflect
 //! policy behaviour alone, never scheduling.
@@ -78,12 +82,12 @@
 //! ```
 
 use crate::cancel::{tripped, CancelToken};
-use crate::fleet::dense_lanes::{run_battery_lanes, run_supercap_lanes, LanePopulation};
+use crate::fleet::dense_lanes::{run_lanes, LaneHarvest, LanePopulation};
 use crate::fleet::{
-    build_harvest_table, percentile, simulate_node, simulate_node_dense, DenseClass,
-    DenseSolveTier, DenseStore, EnvCadence, FleetControl, HarvestSource, NodeOutcome,
-    PlatformFactory, PolicyFactory, StepPlan, UptimePercentiles,
+    build_harvest_table, percentile, simulate_node, DenseClass, EnvCadence, FleetControl,
+    HarvestSource, PlatformFactory, PolicyFactory, UptimePercentiles,
 };
+use crate::kernel::{audit_relative, served_fraction, NodeOutcome, StepPlan};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 #[cfg(doc)]
@@ -276,10 +280,6 @@ pub struct ArenaConfig {
     /// fleet-scale semantic (dense scenarios then require a replayable
     /// channel, as dense fleet groups do).
     pub cadence: EnvCadence,
-    /// Solve tier for dense scenarios (default
-    /// [`DenseSolveTier::Batched`], bit-identical to
-    /// [`DenseSolveTier::Scalar`]).
-    pub dense_tier: DenseSolveTier,
     /// Also return a full [`SimResult`] per lane, in seed-major lane
     /// order (`seed_index × contenders + contender_index`).
     pub keep_lane_results: bool,
@@ -288,13 +288,12 @@ pub struct ArenaConfig {
 impl ArenaConfig {
     /// Arena defaults over `duration`: 60 s steps, 10-minute control
     /// windows, per-step cadence (standalone-run bit-identity), auto
-    /// threads, batched dense tier.
+    /// threads.
     pub fn over(duration: Seconds) -> Self {
         Self {
             sim: SimConfig::over(duration),
             threads: 0,
             cadence: EnvCadence::PerStep,
-            dense_tier: DenseSolveTier::Batched,
             keep_lane_results: false,
         }
     }
@@ -309,12 +308,6 @@ impl ArenaConfig {
     /// semantic; no longer bit-identical to standalone runs).
     pub fn windowed_env(mut self) -> Self {
         self.cadence = EnvCadence::PerWindow;
-        self
-    }
-
-    /// Sets the dense-lane solve tier.
-    pub fn with_dense_tier(mut self, tier: DenseSolveTier) -> Self {
-        self.dense_tier = tier;
         self
     }
 
@@ -543,69 +536,24 @@ pub fn run_arena_controlled(
                 {
                     return row;
                 }
-                if config.dense_tier == DenseSolveTier::Scalar {
-                    // Reference tier: per-lane scalar store calls
-                    // against the shared table.
-                    for policy in policies.iter_mut() {
-                        let outcome = match &class.store {
-                            DenseStore::Supercap(s) => simulate_node_dense(
-                                s,
-                                &class.output,
-                                class.supervisor_overhead,
-                                class.monitoring,
-                                &spec.node,
-                                policy.as_mut(),
-                                &table,
-                                &plan,
-                                cancel,
-                            ),
-                            DenseStore::Battery(b) => simulate_node_dense(
-                                b,
-                                &class.output,
-                                class.supervisor_overhead,
-                                class.monitoring,
-                                &spec.node,
-                                policy.as_mut(),
-                                &table,
-                                &plan,
-                                cancel,
-                            ),
-                        };
-                        match outcome {
-                            Some(o) => row.push(LaneOutcome {
-                                outcome: o,
-                                failovers: 0,
-                            }),
-                            None => return row,
-                        }
-                    }
-                } else {
-                    // Batched tier: all policy lanes step as one
-                    // struct-of-arrays population.
-                    let mut out: Vec<NodeOutcome> = Vec::with_capacity(n);
-                    let mut pop = LanePopulation {
-                        node: &spec.node,
-                        output: &class.output,
-                        supervisor_overhead: class.supervisor_overhead,
-                        monitoring: class.monitoring,
-                        policies: &mut policies,
-                    };
-                    let ok = match &class.store {
-                        DenseStore::Supercap(template) => {
-                            run_supercap_lanes(&mut pop, template, &table, &plan, cancel, &mut out)
-                        }
-                        DenseStore::Battery(template) => {
-                            run_battery_lanes(&mut pop, template, &table, &plan, cancel, &mut out)
-                        }
-                    };
-                    if !ok {
-                        return row;
-                    }
-                    row.extend(out.into_iter().map(|o| LaneOutcome {
-                        outcome: o,
-                        failovers: 0,
-                    }));
+                // All policy lanes step as one struct-of-arrays
+                // population.
+                let mut out: Vec<NodeOutcome> = Vec::with_capacity(n);
+                let mut pop = LanePopulation {
+                    node: &spec.node,
+                    output: &class.output,
+                    supervisor_overhead: class.supervisor_overhead,
+                    monitoring: class.monitoring,
+                    policies: &mut policies,
+                };
+                let harvest = LaneHarvest::Shared(&table);
+                if !run_lanes(&mut pop, &class.store, harvest, &plan, cancel, &mut out) {
+                    return row;
                 }
+                row.extend(out.into_iter().map(|o| LaneOutcome {
+                    outcome: o,
+                    failovers: 0,
+                }));
             }
             ArenaPlatform::Boxed(factory) => {
                 // A driver that can split solves every step's harvest
@@ -765,15 +713,10 @@ pub fn run_arena_controlled(
                 max: sorted[sorted.len() - 1],
                 mean,
             };
-            let served_fraction = if a.demanded.value() > 0.0 {
-                1.0 - (a.shortfall.value() / a.demanded.value()).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
             ContenderStanding {
                 name: c.name.clone(),
                 rank: 0,
-                served_fraction,
+                served_fraction: served_fraction(a.shortfall, a.demanded),
                 uptime,
                 harvested: a.harvested,
                 delivered: a.delivered,
@@ -805,7 +748,7 @@ pub fn run_arena_controlled(
         s.rank = i + 1;
     }
 
-    let audit_relative = residual_signed.abs() / throughput.max(1.0);
+    let audit_relative = audit_relative(residual_signed, throughput);
     debug_assert!(
         audit_relative < 1e-6,
         "arena-aggregated conservation residual {residual_signed} J"
@@ -857,10 +800,7 @@ fn build_bus_table(
         }
         env.conditions_into(&times, &mut window);
         for j in window_start..window_end {
-            let step_dt = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => frac,
-                _ => plan.dt,
-            };
+            let step_dt = plan.step_dt(j);
             let conditions = match plan.cadence {
                 EnvCadence::PerStep => &window[(j - window_start) as usize],
                 EnvCadence::PerWindow => &window[0],
@@ -876,6 +816,7 @@ fn build_bus_table(
 mod tests {
     use super::*;
     use crate::cancel::CancelToken;
+    use crate::fleet::DenseStore;
     use crate::runner::run_simulation;
     use mseh_core::{
         IntelligenceLocation, InterfaceKind, PortRequirement, PowerUnit, StoreRole, Supervisor,
@@ -1231,23 +1172,6 @@ mod tests {
         let boxed = run_arena(&boxed_spec(), config);
         assert_eq!(dense.lane_results, boxed.lane_results);
         assert_eq!(dense.summary.standings, boxed.summary.standings);
-    }
-
-    #[test]
-    fn dense_tiers_agree_bitwise() {
-        let horizon = Seconds::from_hours(2.0);
-        let batched = run_arena(
-            &dense_spec(),
-            ArenaConfig::over(horizon).keep_lane_results(),
-        );
-        let scalar = run_arena(
-            &dense_spec(),
-            ArenaConfig::over(horizon)
-                .with_dense_tier(DenseSolveTier::Scalar)
-                .keep_lane_results(),
-        );
-        assert_eq!(batched.lane_results, scalar.lane_results);
-        assert_eq!(batched.summary, scalar.summary);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::cancel::{tripped, CancelToken};
 use crate::ensemble::Spread;
 use crate::fault::FaultSchedule;
+use crate::kernel::served_fraction;
 use crate::observe::{AuditReport, ConservationAuditor, SimObserver};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
@@ -284,11 +285,7 @@ fn run_scenario<P: Platform>(
     }
 
     let demanded = delivered + shortfall;
-    let uptime = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
+    let uptime = served_fraction(shortfall, demanded);
     let (faults_fired, faults_cleared) = scenario.platform.fault_counts();
     let time_to_detect = match (scenario.schedule.first_fault(), tracker.first_fire) {
         (Some(injected), Some(seen)) => Some(Seconds::new((seen - injected.value()).max(0.0))),

@@ -56,19 +56,21 @@
 //! [`mseh_core::PowerUnit`] in a boxed [`FleetGroup`] — the tests assert
 //! it — the lane only removes redundant work, never changes arithmetic.
 //!
-//! Dense groups additionally step on a **batched struct-of-arrays
-//! tier** ([`DenseSolveTier`]): contiguous runs of member nodes become
-//! lanes of one [`mseh_storage::SupercapLanes`] or
+//! Dense nodes step as **struct-of-arrays lanes**: contiguous runs of
+//! member nodes become lanes of one [`mseh_storage::SupercapLanes`] or
 //! [`mseh_storage::BatteryLanes`] population, and the per-step store
 //! updates run as masked whole-lane passes over contiguous `f64`
 //! arrays instead of one call per node (supercap energy→voltage Newton
 //! inversions as fixed-iteration batch passes, battery self-discharge
 //! as one `powf` per distinct idle `dt` lane-wide). The batch kernels
-//! replicate the scalar iterate sequence exactly (see
-//! [`mseh_units::BatchSolve`]), so the batched tier is bit-identical to
-//! the scalar one. Boxed [`FleetGroup`]s
-//! whose members match a monomorphized class can borrow the same
-//! kernels via [`FleetGroup::with_dense_class`].
+//! replicate the scalar `Storage` iterate sequence exactly (see
+//! [`mseh_units::BatchSolve`]), so a lane is bit-identical to the boxed
+//! [`mseh_core::PowerUnit`] it stands for. Jittered members whose
+//! channel the window-lane gate cannot cover (per-step cadence, or a
+//! channel without [`InputChannel::supports_window_lanes`]) build their
+//! own harvest table and step as one-lane populations. Boxed
+//! [`FleetGroup`]s whose members match a monomorphized class can borrow
+//! the same kernels via [`FleetGroup::with_dense_class`].
 //!
 //! # Examples
 //!
@@ -114,16 +116,18 @@
 //! ```
 
 use crate::cancel::{tripped, CancelToken};
+use crate::kernel::{audit_relative, served_fraction, NodeBooks, NodeOutcome, StepPlan};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
+use dense_lanes::MemberHarvest;
 use mseh_core::BusHarvest;
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::{EnvConditions, EnvJitter, EnvSampler, Environment, JitterFactors};
-use mseh_node::{DutyCyclePolicy, EnergyStatus, MonitoringLevel, SensorNode};
-use mseh_power::{DcDcConverter, HarvestStep, InputChannel, PowerStage};
+use mseh_node::{DutyCyclePolicy, MonitoringLevel, SensorNode};
+use mseh_power::{DcDcConverter, HarvestStep, InputChannel};
 use mseh_storage::{Battery, Storage, Supercap};
-use mseh_units::{Joules, Ratio, Seconds, Volts, Watts};
+use mseh_units::{Joules, Seconds, Volts, Watts};
 use std::cmp::Reverse;
 
 pub(crate) mod dense_lanes;
@@ -146,30 +150,6 @@ pub enum EnvCadence {
     /// [`HarvestStep`] for every step in the window, which is what lets
     /// the engine solve each window's harvest once and replay it.
     PerWindow,
-}
-
-/// How the dense lane solves its per-node storage updates.
-///
-/// [`Scalar`](Self::Scalar) and [`Batched`](Self::Batched) are
-/// bit-identical by contract: the batch kernels replicate the scalar
-/// iterate sequence under a convergence mask instead of inventing a new
-/// numerical scheme (see [`mseh_units::BatchSolve`]), and the tests
-/// assert full [`FleetSummary`] equality between the tiers.
-///
-/// The tier governs every [`DenseGroup`] — supercap-store *and*
-/// battery-store — plus boxed [`FleetGroup`]s opted in via
-/// [`FleetGroup::with_dense_class`]. Groups the gate cannot cover (jittered under per-step cadence, or a channel without
-/// window-lane support) fall back to the scalar path — same results,
-/// scalar speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenseSolveTier {
-    /// Per-node scalar [`mseh_storage::Storage`] calls — the reference
-    /// path.
-    Scalar,
-    /// Struct-of-arrays Newton passes over contiguous lanes (fixed
-    /// iteration schedule under a convergence mask, no per-node early
-    /// exit). Bit-identical to [`Scalar`](Self::Scalar).
-    Batched,
 }
 
 /// Builds one node's platform from its per-node seed.
@@ -235,17 +215,17 @@ impl FleetGroup {
 
     /// Opts the group's members into the dense lane kernels by
     /// declaring the monomorphized class they all match (see
-    /// [`DenseClass`]). When the batched gate is open
-    /// ([`DenseSolveTier`] other than scalar; jittered groups
-    /// additionally need per-window cadence and a window-batchable
-    /// channel) the engine solves the members on the struct-of-arrays
-    /// kernels instead of boxed [`Platform::step`] calls, keeping boxed
-    /// per-node bookkeeping (per-node seeds, policies and jitter
-    /// factors are derived exactly as the boxed path derives them).
+    /// [`DenseClass`]). Un-jittered groups, and jittered groups under
+    /// per-window cadence whose channel supports window lanes
+    /// ([`InputChannel::supports_window_lanes`]), then step on the
+    /// struct-of-arrays kernels instead of boxed [`Platform::step`]
+    /// calls, keeping boxed per-node bookkeeping (per-node seeds,
+    /// policies and jitter factors are derived exactly as the boxed
+    /// path derives them); other jittered groups step boxed.
     ///
     /// The declaration is a contract: every member the factory builds
     /// must match the class. The engine verifies the first member at
-    /// run start — the platform must report
+    /// run start, whatever the cadence — the platform must report
     /// [`Platform::supports_dense_kernels`] and its storage books must
     /// match the declared template bit for bit — and rejects the run
     /// otherwise; heterogeneity beyond member 0 is the caller's
@@ -438,8 +418,9 @@ impl DenseGroup {
         self
     }
 
-    /// Sets the monitoring tier the policy's [`EnergyStatus`] is clamped
-    /// to (the boxed equivalent's `Supervisor::monitoring`; no sense-ADC
+    /// Sets the monitoring tier the policy's
+    /// [`EnergyStatus`](mseh_node::EnergyStatus) is clamped to (the
+    /// boxed equivalent's `Supervisor::monitoring`; no sense-ADC
     /// quantization on the dense lane).
     pub fn with_monitoring(mut self, monitoring: MonitoringLevel) -> Self {
         self.monitoring = monitoring;
@@ -582,7 +563,7 @@ pub struct FleetConfig {
     pub threads: usize,
     /// Nodes per shard (`0` = 1024). Results are bit-identical at any
     /// value. Shards dispatch heaviest-first (per-node-path nodes, then
-    /// jittered batched nodes, by a cost read from the spec), so this
+    /// jittered window-lane nodes, by a cost read from the spec), so this
     /// sets only the work granularity, not the balance.
     pub shard_size: usize,
     /// How often member nodes re-sample site conditions.
@@ -593,10 +574,6 @@ pub struct FleetConfig {
     /// How many worst-uptime nodes to list in
     /// [`FleetSummary::stragglers`].
     pub stragglers: usize,
-    /// Solve tier for dense groups and opted-in boxed groups (default
-    /// [`DenseSolveTier::Batched`], bit-identical to
-    /// [`DenseSolveTier::Scalar`]).
-    pub dense_tier: DenseSolveTier,
 }
 
 impl FleetConfig {
@@ -611,7 +588,6 @@ impl FleetConfig {
             cadence: EnvCadence::PerWindow,
             keep_node_results: false,
             stragglers: 8,
-            dense_tier: DenseSolveTier::Batched,
         }
     }
 
@@ -631,12 +607,6 @@ impl FleetConfig {
     /// Sets the shard width in nodes.
     pub fn with_shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = shard_size;
-        self
-    }
-
-    /// Sets the dense-lane solve tier.
-    pub fn with_dense_tier(mut self, tier: DenseSolveTier) -> Self {
-        self.dense_tier = tier;
         self
     }
 }
@@ -734,113 +704,6 @@ pub struct FleetResult {
     pub node_results: Option<Vec<SimResult>>,
 }
 
-/// Shared, immutable step plan derived from the config (mirrors the
-/// single-run kernel's step arithmetic exactly).
-pub(crate) struct StepPlan {
-    pub(crate) dt: Seconds,
-    pub(crate) start_at: Seconds,
-    pub(crate) duration: Seconds,
-    pub(crate) full_steps: u64,
-    pub(crate) frac_dt: Option<Seconds>,
-    pub(crate) steps: u64,
-    pub(crate) control_every: u64,
-    pub(crate) cadence: EnvCadence,
-}
-
-impl StepPlan {
-    fn new(config: &FleetConfig) -> Self {
-        Self::from_sim(config.sim, config.cadence)
-    }
-
-    /// Builds the plan straight from a [`SimConfig`] plus the sampling
-    /// cadence — shared with the policy arena, which has no
-    /// [`FleetConfig`].
-    pub(crate) fn from_sim(sim: SimConfig, cadence: EnvCadence) -> Self {
-        assert!(sim.dt.value() > 0.0, "dt must be positive");
-        assert!(
-            sim.duration >= sim.dt,
-            "duration must cover at least one step"
-        );
-        // Identical step arithmetic to run_simulation: whole steps plus
-        // an explicit fractional closer, with the same dust guard.
-        let full_steps = (sim.duration.value() / sim.dt.value()).floor() as u64;
-        let frac_dt = {
-            let rem = sim.duration.value() - full_steps as f64 * sim.dt.value();
-            (rem > sim.dt.value() * 1e-9).then(|| Seconds::new(rem))
-        };
-        let steps = full_steps + u64::from(frac_dt.is_some());
-        let control_every = (sim.control_interval.value() / sim.dt.value())
-            .round()
-            .max(1.0) as u64;
-        Self {
-            dt: sim.dt,
-            start_at: sim.start_at,
-            duration: sim.duration,
-            full_steps,
-            frac_dt,
-            steps,
-            control_every,
-            cadence,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn time_at(&self, i: u64) -> Seconds {
-        self.start_at + Seconds::new(i as f64 * self.dt.value())
-    }
-
-    /// Sample times for one site's condition table under the plan's
-    /// cadence.
-    pub(crate) fn table_times(&self) -> Vec<Seconds> {
-        match self.cadence {
-            EnvCadence::PerStep => (0..self.steps).map(|i| self.time_at(i)).collect(),
-            EnvCadence::PerWindow => (0..self.steps)
-                .step_by(self.control_every as usize)
-                .map(|w| self.time_at(w))
-                .collect(),
-        }
-    }
-}
-
-/// Everything the summary fold needs from one node, in plain scalars so
-/// shards stay cheap to ship back.
-#[derive(Clone)]
-pub(crate) struct NodeOutcome {
-    pub(crate) uptime: f64,
-    pub(crate) samples: f64,
-    pub(crate) harvested: Joules,
-    pub(crate) delivered: Joules,
-    pub(crate) shortfall: Joules,
-    pub(crate) demanded: Joules,
-    pub(crate) converter_losses: Joules,
-    pub(crate) brownout_steps: u64,
-    pub(crate) longest_outage_steps: u64,
-    pub(crate) min_store_voltage: Volts,
-    pub(crate) audit_residual: f64,
-    pub(crate) residual_signed: f64,
-    pub(crate) throughput: f64,
-    pub(crate) stranded: Joules,
-}
-
-impl NodeOutcome {
-    pub(crate) fn to_sim_result(&self, duration: Seconds) -> SimResult {
-        SimResult {
-            duration,
-            uptime: self.uptime,
-            samples: self.samples,
-            harvested: self.harvested,
-            delivered: self.delivered,
-            shortfall: self.shortfall,
-            converter_losses: self.converter_losses,
-            brownout_steps: self.brownout_steps,
-            longest_outage_steps: self.longest_outage_steps,
-            min_store_voltage: self.min_store_voltage,
-            audit_residual: self.audit_residual,
-            traces: None,
-        }
-    }
-}
-
 /// Where [`simulate_node`] gets each step's harvest.
 pub(crate) enum HarvestSource<'a> {
     /// Step the platform itself against the sampled condition rows,
@@ -857,8 +720,8 @@ pub(crate) enum HarvestSource<'a> {
 
 /// Runs one node's full trajectory. The loop body replicates
 /// `run_simulation`'s unobserved hot path step for step — same window
-/// structure, same accumulator order, same audit — so a per-step-cadence
-/// fleet node is bit-identical to a standalone run. Returns `None` when
+/// structure, same [`NodeBooks`] — so a per-step-cadence fleet node is
+/// bit-identical to a standalone run. Returns `None` when
 /// `cancel` trips, checked once per control window.
 ///
 /// Under [`EnvCadence::PerWindow`] every full-width step of a window
@@ -877,19 +740,7 @@ pub(crate) fn simulate_node(
 ) -> Option<NodeOutcome> {
     let initial_stored = platform.total_stored_energy();
     let initial_losses = platform.storage_losses();
-
-    let mut samples = 0.0;
-    let mut harvested = Joules::ZERO;
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut demanded = Joules::ZERO;
-    let mut charged = Joules::ZERO;
-    let mut discharged = Joules::ZERO;
-    let mut brownout_steps = 0u64;
-    let mut outage_run = 0u64;
-    let mut longest_outage = 0u64;
-    let mut converter_losses = Joules::ZERO;
-    let mut min_v = Volts::new(f64::INFINITY);
+    let mut books = NodeBooks::new();
 
     let mut window_ordinal = 0usize;
     let mut window_start = 0u64;
@@ -909,11 +760,11 @@ pub(crate) fn simulate_node(
         let mut head: Option<BusHarvest> = None;
 
         for j in window_start..window_end {
-            let (step_dt, step_samples, step_load_energy) = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => {
-                    (frac, node.step(duty, frac).samples, load * frac)
-                }
-                _ => (plan.dt, demand.samples, load_energy),
+            let step_dt = plan.step_dt(j);
+            let (step_samples, step_load_energy) = if step_dt == plan.dt {
+                (demand.samples, load_energy)
+            } else {
+                (node.step(duty, step_dt).samples, load * step_dt)
             };
             let report = match *source {
                 HarvestSource::Env {
@@ -952,35 +803,7 @@ pub(crate) fn simulate_node(
                     .expect("a replayed platform splits like its driver")
                     .replay(table[j as usize], step_dt, load),
             };
-
-            harvested += report.harvested;
-            delivered += report.delivered;
-            shortfall += report.shortfall;
-            charged += report.charged;
-            discharged += report.discharged;
-            converter_losses += report.converter_loss;
-            demanded += step_load_energy;
-
-            let served_fraction = if report.shortfall.value() > 0.0 {
-                let full = (report.delivered + report.shortfall).value();
-                if full > 0.0 {
-                    report.delivered.value() / full
-                } else {
-                    0.0
-                }
-            } else {
-                1.0
-            };
-            samples += step_samples * served_fraction;
-
-            if report.shortfall.value() > 1e-12 {
-                brownout_steps += 1;
-                outage_run += 1;
-                longest_outage = longest_outage.max(outage_run);
-            } else {
-                outage_run = 0;
-            }
-            min_v = min_v.min(report.store_voltage);
+            books.record(&report, step_samples, step_load_energy);
         }
         window_start = window_end;
         window_ordinal += 1;
@@ -988,36 +811,7 @@ pub(crate) fn simulate_node(
 
     let d_stored = platform.total_stored_energy() - initial_stored;
     let d_losses = platform.storage_losses() - initial_losses;
-    let residual_signed = (charged - discharged - d_losses - d_stored).value();
-    let throughput = (harvested + discharged + charged).value().max(1.0);
-    let audit_residual = residual_signed.abs() / throughput;
-    debug_assert!(
-        audit_residual < 1e-6,
-        "fleet node violated storage conservation: residual {residual_signed} J"
-    );
-
-    let uptime = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-
-    Some(NodeOutcome {
-        uptime,
-        samples,
-        harvested,
-        delivered,
-        shortfall,
-        demanded,
-        converter_losses,
-        brownout_steps,
-        longest_outage_steps: longest_outage,
-        min_store_voltage: min_v,
-        audit_residual,
-        residual_signed,
-        throughput,
-        stranded: platform.stranded_energy(),
-    })
+    Some(books.close(d_stored, d_losses, platform.stranded_energy()))
 }
 
 /// Drives one representative channel through the run's full step
@@ -1056,10 +850,7 @@ pub(crate) fn build_harvest_table(
         }
         let window_end = (window_start + plan.control_every).min(plan.steps);
         for j in window_start..window_end {
-            let step_dt = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => frac,
-                _ => plan.dt,
-            };
+            let step_dt = plan.step_dt(j);
             let replay =
                 plan.cadence == EnvCadence::PerWindow && j > window_start && step_dt == plan.dt;
             if replay {
@@ -1093,207 +884,6 @@ pub(crate) fn build_harvest_table(
         window_ordinal += 1;
     }
     Some(())
-}
-
-/// Runs one dense-lane node: the per-step arithmetic of
-/// `PowerUnit::step` specialized to the one-channel/one-store shape,
-/// monomorphized over the concrete storage type, with the channel's
-/// work already materialized in `harvest`. Mirrors [`simulate_node`]'s
-/// accumulator order exactly so lane choice never changes a result.
-/// Returns `None` when `cancel` trips, checked once per control window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_node_dense<S: Storage + Clone>(
-    template: &S,
-    output: &DcDcConverter,
-    supervisor_overhead: Watts,
-    monitoring: MonitoringLevel,
-    node: &SensorNode,
-    policy: &mut dyn DutyCyclePolicy,
-    harvest: &[HarvestStep],
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-) -> Option<NodeOutcome> {
-    let mut store = template.clone();
-    // The boxed path's recognized capacity defaults to the device's
-    // datasheet capacity at attach time.
-    let recognized = store.capacity();
-    let initial_stored = store.stored_energy();
-    let initial_losses = store.losses();
-    let mut last_harvest = Watts::ZERO;
-
-    let mut samples = 0.0;
-    let mut harvested = Joules::ZERO;
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut demanded = Joules::ZERO;
-    let mut charged = Joules::ZERO;
-    let mut discharged = Joules::ZERO;
-    let mut brownout_steps = 0u64;
-    let mut outage_run = 0u64;
-    let mut longest_outage = 0u64;
-    let mut converter_losses = Joules::ZERO;
-    let mut min_v = Volts::new(f64::INFINITY);
-
-    let mut window_start = 0u64;
-    while window_start < plan.steps {
-        if tripped(cancel) {
-            return None;
-        }
-        let window_end = (window_start + plan.control_every).min(plan.steps);
-        // `PowerUnit::energy_status` for a single primary store: actual
-        // SoC over the device capacity, believed stored energy over the
-        // recognized capacity, clamped to the monitoring tier.
-        let status = {
-            let cap = store.capacity();
-            let soc_actual = if cap.value() > 0.0 {
-                store.stored_energy().value() / cap.value()
-            } else {
-                0.0
-            };
-            EnergyStatus::full(
-                store.voltage(),
-                Ratio::new(soc_actual),
-                recognized * soc_actual,
-                last_harvest,
-            )
-            .clamped_to(monitoring)
-        };
-        let duty = policy.choose(node, &status.at(plan.time_at(window_start)));
-        let load = node.average_power(duty);
-        let demand = node.step(duty, plan.dt);
-        let load_energy = load * plan.dt;
-
-        for j in window_start..window_end {
-            let (step_dt, step_samples, step_load_energy) = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => {
-                    (frac, node.step(duty, frac).samples, load * frac)
-                }
-                _ => (plan.dt, demand.samples, load_energy),
-            };
-            let hs = &harvest[j as usize];
-
-            // --- PowerUnit::step, specialized ---
-            let harvested_w = hs.delivered;
-            let overhead_w = supervisor_overhead + output.quiescent() + hs.overhead;
-            last_harvest = harvested_w;
-
-            let store_v = store.voltage();
-            let (load_in_w, servable) = if load.value() > 0.0 {
-                if output.accepts_input_voltage(store_v) {
-                    (output.input_for_output(load, store_v), true)
-                } else {
-                    (Watts::ZERO, false)
-                }
-            } else {
-                (Watts::ZERO, true)
-            };
-
-            let e_h = harvested_w * step_dt;
-            let e_load_in = load_in_w * step_dt;
-            let e_ov = overhead_w * step_dt;
-            let step_demand = e_load_in + e_ov;
-
-            let mut step_charged = Joules::ZERO;
-            let mut step_discharged = Joules::ZERO;
-            let mut unmet = Joules::ZERO;
-            if e_h >= step_demand {
-                let surplus = e_h - step_demand;
-                if surplus.value() > 0.0 {
-                    step_charged = store.charge(surplus / step_dt, step_dt);
-                }
-            } else {
-                let deficit = step_demand - e_h;
-                if deficit.value() > 0.0 {
-                    step_discharged = store.discharge(deficit / step_dt, step_dt);
-                }
-                unmet = (deficit - step_discharged).max(Joules::ZERO);
-            }
-
-            let (step_delivered, step_shortfall, step_conv_loss) = if !servable {
-                (Joules::ZERO, load * step_dt, Joules::ZERO)
-            } else if e_load_in.value() > 0.0 {
-                let load_unmet = unmet.min(e_load_in);
-                let served_in = e_load_in - load_unmet;
-                let served = (served_in / e_load_in).clamp(0.0, 1.0);
-                let full_load = load * step_dt;
-                let step_delivered = full_load * served;
-                (
-                    step_delivered,
-                    full_load * (1.0 - served),
-                    (served_in - step_delivered).max(Joules::ZERO),
-                )
-            } else {
-                (Joules::ZERO, Joules::ZERO, Joules::ZERO)
-            };
-
-            store.idle(step_dt);
-            let report_v = store.voltage();
-            // --- end PowerUnit::step ---
-
-            harvested += e_h;
-            delivered += step_delivered;
-            shortfall += step_shortfall;
-            charged += step_charged;
-            discharged += step_discharged;
-            converter_losses += step_conv_loss;
-            demanded += step_load_energy;
-
-            let served_fraction = if step_shortfall.value() > 0.0 {
-                let full = (step_delivered + step_shortfall).value();
-                if full > 0.0 {
-                    step_delivered.value() / full
-                } else {
-                    0.0
-                }
-            } else {
-                1.0
-            };
-            samples += step_samples * served_fraction;
-
-            if step_shortfall.value() > 1e-12 {
-                brownout_steps += 1;
-                outage_run += 1;
-                longest_outage = longest_outage.max(outage_run);
-            } else {
-                outage_run = 0;
-            }
-            min_v = min_v.min(report_v);
-        }
-        window_start = window_end;
-    }
-
-    let d_stored = store.stored_energy() - initial_stored;
-    let d_losses = store.losses() - initial_losses;
-    let residual_signed = (charged - discharged - d_losses - d_stored).value();
-    let throughput = (harvested + discharged + charged).value().max(1.0);
-    let audit_residual = residual_signed.abs() / throughput;
-    debug_assert!(
-        audit_residual < 1e-6,
-        "dense fleet node violated storage conservation: residual {residual_signed} J"
-    );
-
-    let uptime = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-
-    Some(NodeOutcome {
-        uptime,
-        samples,
-        harvested,
-        delivered,
-        shortfall,
-        demanded,
-        converter_losses,
-        brownout_steps,
-        longest_outage_steps: longest_outage,
-        min_store_voltage: min_v,
-        audit_residual,
-        residual_signed,
-        throughput,
-        stranded: Joules::ZERO,
-    })
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
@@ -1353,7 +943,8 @@ pub fn run_fleet(spec: &FleetSpec, config: FleetConfig) -> FleetResult {
 }
 
 /// Verifies a boxed group's declared [`DenseClass`] against its
-/// member-0 platform before the batched gate opens: the platform must
+/// member-0 platform at run start, whatever path the group then takes:
+/// the platform must
 /// report the dense-kernel shape
 /// ([`Platform::supports_dense_kernels`]) and its storage books must
 /// match the declared template bit for bit. Factories receive per-node
@@ -1435,7 +1026,7 @@ pub fn run_fleet_controlled(
             sim.control_interval
         ));
     }
-    let plan = StepPlan::new(&config);
+    let plan = StepPlan::from_sim(config.sim, config.cadence);
 
     // One contiguous condition table per site, sampled through the same
     // batched `conditions_into` contract the single-run kernel uses
@@ -1460,81 +1051,64 @@ pub fn run_fleet_controlled(
         cursor += g.count() as u64;
     }
 
-    // Dense groups — supercap- and battery-store — step on the
-    // struct-of-arrays batched tier unless the config pins `Scalar`,
-    // and boxed groups with a declared [`DenseClass`] borrow the same
-    // kernels. Unjittered groups always qualify (their lanes replay the
-    // shared harvest table); jittered groups need a window-batchable
-    // channel under per-window cadence — probed once per group — and
-    // otherwise fall back to their scalar path. An opted-in boxed group
-    // whose member platform contradicts its declared class is a spec
-    // error, caught here before any node steps.
-    let mut batched: Vec<bool> = Vec::with_capacity(spec.groups.len());
+    // Which groups step on the lane kernels, and where their members'
+    // harvests come from (`None`: boxed, one platform per node). Dense
+    // groups always take the lanes; boxed groups with a declared
+    // [`DenseClass`] take them unless jittered members would need the
+    // per-node path. Un-jittered members share one harvest table per
+    // group: the driver channel solves each control window once and
+    // every member replays it. Jittered members solve their windows
+    // together through `window_lanes` where the gate covers the channel
+    // (per-window cadence, probed once per group), and otherwise build
+    // their own tables.
+    //
+    // An opted-in boxed group whose member platform contradicts its
+    // declared class is a spec error, caught before any table is built
+    // or node steps, whatever the cadence.
     for entry in &spec.groups {
-        let open = match entry {
-            GroupEntry::Dense(g) if config.dense_tier != DenseSolveTier::Scalar => {
-                g.jitter.is_none()
-                    || (plan.cadence == EnvCadence::PerWindow
-                        && (g.channel)().supports_window_lanes(plan.dt))
+        if let GroupEntry::Boxed(g) = entry {
+            if let Some(class) = &g.dense_class {
+                validate_dense_class(g, class)?;
             }
-            GroupEntry::Boxed(g) if config.dense_tier != DenseSolveTier::Scalar => {
-                match &g.dense_class {
-                    Some(class) => {
-                        let open = g.jitter.is_none()
-                            || (plan.cadence == EnvCadence::PerWindow
-                                && (class.channel)().supports_window_lanes(plan.dt));
-                        if open {
-                            validate_dense_class(g, class)?;
-                        }
-                        open
-                    }
-                    None => false,
-                }
-            }
-            _ => false,
-        };
-        batched.push(open);
+        }
     }
-
-    // Un-jittered dense classes share one harvest table group-wide: the
-    // driver channel solves each control window once and every member
-    // replays it. Jittered dense nodes drive their own channel inside
-    // the shard (their conditions differ), still once per window.
-    // Opted-in boxed groups get a table only when their batched gate is
-    // open — otherwise they run plain boxed and never read it.
-    let build_group_table = |factory: &ChannelFactory, site: usize| -> Option<Vec<HarvestStep>> {
-        let mut table = Vec::new();
-        build_harvest_table(
-            &mut factory(),
-            &tables[site],
-            &JitterFactors::IDENTITY,
-            false,
-            &plan,
-            cancel,
-            &mut table,
-        )
-        .map(|()| table)
+    let window_lanes = |channel: &ChannelFactory| {
+        plan.cadence == EnvCadence::PerWindow && channel().supports_window_lanes(plan.dt)
     };
-    let mut dense_tables: Vec<Option<Vec<HarvestStep>>> = Vec::with_capacity(spec.groups.len());
-    for (gi, entry) in spec.groups.iter().enumerate() {
-        dense_tables.push(match entry {
-            GroupEntry::Dense(g) if g.jitter.is_none() => {
-                match build_group_table(g.channel.as_ref(), g.site) {
-                    Some(built) => Some(built),
-                    None => return Ok(None),
+    let mut paths: Vec<Option<MemberHarvest>> = Vec::with_capacity(spec.groups.len());
+    for entry in &spec.groups {
+        let (jitter, channel, site, opted_in) = match entry {
+            GroupEntry::Dense(g) => (g.jitter, g.channel.as_ref(), g.site, false),
+            GroupEntry::Boxed(g) => match &g.dense_class {
+                Some(class) => (g.jitter, class.channel.as_ref(), g.site, true),
+                None => {
+                    paths.push(None);
+                    continue;
                 }
+            },
+        };
+        paths.push(if jitter.is_none() {
+            let mut table = Vec::new();
+            if build_harvest_table(
+                &mut channel(),
+                &tables[site],
+                &JitterFactors::IDENTITY,
+                false,
+                &plan,
+                cancel,
+                &mut table,
+            )
+            .is_none()
+            {
+                return Ok(None);
             }
-            GroupEntry::Boxed(g) if batched[gi] && g.jitter.is_none() => {
-                let class = g
-                    .dense_class
-                    .as_ref()
-                    .expect("batched boxed group declared a dense class");
-                match build_group_table(class.channel.as_ref(), g.site) {
-                    Some(built) => Some(built),
-                    None => return Ok(None),
-                }
-            }
-            _ => None,
+            Some(MemberHarvest::Shared(table))
+        } else if window_lanes(channel) {
+            Some(MemberHarvest::WindowLanes)
+        } else if opted_in {
+            None
+        } else {
+            Some(MemberHarvest::PerNode)
         });
     }
 
@@ -1556,9 +1130,10 @@ pub fn run_fleet_controlled(
     // Heaviest-first dispatch: the pool claims work in list order, so a
     // costly shard left at the tail would run alone while the other
     // workers idle. Rank shards by a cost read from the spec — nodes on
-    // the per-node path, then jittered batched nodes (each builds its
-    // own harvest table), both descending, then node order. Outcomes go
-    // back to shard order before the fold, which never sees this order.
+    // a per-node path (boxed, or building their own harvest table),
+    // then jittered window-lane nodes, both descending, then node
+    // order. Outcomes go back to shard order before the fold, which
+    // never sees this order.
     let mut order: Vec<usize> = (0..shards.len()).collect();
     order.sort_by_cached_key(|&s| {
         let (lo, hi) = shards[s];
@@ -1566,14 +1141,10 @@ pub fn run_fleet_controlled(
         let mut gi = spans.partition_point(|&(_, end)| end <= lo);
         while gi < spans.len() && spans[gi].0 < hi {
             let overlap = hi.min(spans[gi].1) - lo.max(spans[gi].0);
-            let jitter = match &spec.groups[gi] {
-                GroupEntry::Boxed(g) => g.jitter,
-                GroupEntry::Dense(g) => g.jitter,
-            };
-            if !batched[gi] {
-                per_node += overlap;
-            } else if !jitter.is_none() {
-                jittered += overlap;
+            match paths[gi] {
+                None | Some(MemberHarvest::PerNode) => per_node += overlap,
+                Some(MemberHarvest::WindowLanes) => jittered += overlap,
+                Some(MemberHarvest::Shared(_)) => {}
             }
             gi += 1;
         }
@@ -1585,8 +1156,6 @@ pub fn run_fleet_controlled(
     let done_nodes = std::sync::Mutex::new(0u64);
     let run_shard = |&(lo, hi): &(u64, u64)| -> Vec<NodeOutcome> {
         let mut out = Vec::with_capacity((hi - lo) as usize);
-        // Scratch harvest table reused by jittered dense nodes.
-        let mut scratch: Vec<HarvestStep> = Vec::new();
         // First group containing `lo`, advanced linearly as the shard
         // walks the global index range.
         let mut gi = spans.partition_point(|&(_, end)| end <= lo);
@@ -1601,14 +1170,14 @@ pub fn run_fleet_controlled(
                 gi += 1;
             }
             let run_end = hi.min(spans[gi].1);
-            // Batched struct-of-arrays tier: the shard's contiguous run
-            // of this dense class — a dense group of either store kind,
-            // or a boxed group opted in via its declared class — steps
-            // as one lane population. Run composition never changes
-            // results — every lane's arithmetic is independent of its
-            // companions — so shard and thread geometry stay
-            // bit-irrelevant.
-            if batched[gi] {
+            let site = spec.groups[gi].site();
+            // Lane kernels: the shard's contiguous run of this dense
+            // class — a dense group of either store kind, or a boxed
+            // group opted in via its declared class — steps as lane
+            // populations. Run composition never changes results —
+            // every lane's arithmetic is independent of its companions
+            // — so shard and thread geometry stay bit-irrelevant.
+            if let Some(harvest) = &paths[gi] {
                 let (view, store) = match &spec.groups[gi] {
                     GroupEntry::Dense(g) => (
                         dense_lanes::DenseView {
@@ -1627,7 +1196,7 @@ pub fn run_fleet_controlled(
                         let class = g
                             .dense_class
                             .as_ref()
-                            .expect("batched boxed group declared a dense class");
+                            .expect("a boxed group on the lanes declared a dense class");
                         (
                             dense_lanes::DenseView {
                                 seed: g.seed,
@@ -1643,118 +1212,47 @@ pub fn run_fleet_controlled(
                         )
                     }
                 };
-                let site = spec.groups[gi].site();
-                let shared = dense_tables[gi].as_deref();
-                let ok = match store {
-                    DenseStore::Supercap(template) => dense_lanes::simulate_supercap_run(
-                        &view,
-                        template,
-                        spans[gi].0,
-                        cursor,
-                        run_end,
-                        &tables[site],
-                        shared,
-                        &plan,
-                        cancel,
-                        &mut out,
-                    ),
-                    DenseStore::Battery(template) => dense_lanes::simulate_battery_run(
-                        &view,
-                        template,
-                        spans[gi].0,
-                        cursor,
-                        run_end,
-                        &tables[site],
-                        shared,
-                        &plan,
-                        cancel,
-                        &mut out,
-                    ),
-                };
-                if !ok {
+                if !dense_lanes::simulate_dense_run(
+                    &view,
+                    store,
+                    harvest,
+                    spans[gi].0,
+                    cursor,
+                    run_end,
+                    &tables[site],
+                    &plan,
+                    cancel,
+                    &mut out,
+                ) {
                     return out;
                 }
                 cursor = run_end;
                 continue;
             }
+            let GroupEntry::Boxed(g) = &spec.groups[gi] else {
+                unreachable!("dense groups always step on the lanes");
+            };
+            let jittered = !g.jitter.is_none();
             for n in cursor..run_end {
-                let within = n - spans[gi].0;
-                match &spec.groups[gi] {
-                    GroupEntry::Boxed(g) => {
-                        let node_seed = Noise::new(g.seed).bits(NODE_SEED_STREAM, within);
-                        let factors = JitterFactors::derive(g.jitter, node_seed);
-                        let jittered = !g.jitter.is_none();
-                        let mut platform = (g.platform)(node_seed);
-                        let mut policy = (g.policy)(node_seed);
-                        let source = HarvestSource::Env {
-                            rows: &tables[g.site],
-                            factors: &factors,
-                            jittered,
-                        };
-                        match simulate_node(
-                            platform.as_mut(),
-                            &g.node,
-                            policy.as_mut(),
-                            &source,
-                            &plan,
-                            cancel,
-                        ) {
-                            Some(outcome) => out.push(outcome),
-                            None => return out,
-                        }
-                    }
-                    GroupEntry::Dense(g) => {
-                        let node_seed = Noise::new(g.seed).bits(NODE_SEED_STREAM, within);
-                        let mut policy = (g.policy)(node_seed);
-                        let table: &[HarvestStep] = match &dense_tables[gi] {
-                            Some(table) => table,
-                            None => {
-                                let factors = JitterFactors::derive(g.jitter, node_seed);
-                                if build_harvest_table(
-                                    &mut (g.channel)(),
-                                    &tables[g.site],
-                                    &factors,
-                                    true,
-                                    &plan,
-                                    cancel,
-                                    &mut scratch,
-                                )
-                                .is_none()
-                                {
-                                    return out;
-                                }
-                                &scratch
-                            }
-                        };
-                        let outcome = match &g.store {
-                            DenseStore::Supercap(s) => simulate_node_dense(
-                                s,
-                                &g.output,
-                                g.supervisor_overhead,
-                                g.monitoring,
-                                &g.node,
-                                policy.as_mut(),
-                                table,
-                                &plan,
-                                cancel,
-                            ),
-                            DenseStore::Battery(b) => simulate_node_dense(
-                                b,
-                                &g.output,
-                                g.supervisor_overhead,
-                                g.monitoring,
-                                &g.node,
-                                policy.as_mut(),
-                                table,
-                                &plan,
-                                cancel,
-                            ),
-                        };
-                        match outcome {
-                            Some(outcome) => out.push(outcome),
-                            None => return out,
-                        }
-                    }
+                let node_seed = Noise::new(g.seed).bits(NODE_SEED_STREAM, n - spans[gi].0);
+                let factors = JitterFactors::derive(g.jitter, node_seed);
+                let mut platform = (g.platform)(node_seed);
+                let mut policy = (g.policy)(node_seed);
+                let source = HarvestSource::Env {
+                    rows: &tables[site],
+                    factors: &factors,
+                    jittered,
+                };
+                match simulate_node(
+                    platform.as_mut(),
+                    &g.node,
+                    policy.as_mut(),
+                    &source,
+                    &plan,
+                    cancel,
+                ) {
+                    Some(outcome) => out.push(outcome),
+                    None => return out,
                 }
             }
             cursor = run_end;
@@ -1847,16 +1345,11 @@ pub fn run_fleet_controlled(
         })
         .collect();
 
-    let audit_relative = residual_signed.abs() / throughput.max(1.0);
+    let audit_relative = audit_relative(residual_signed, throughput);
     debug_assert!(
         audit_relative < 1e-6,
         "fleet-aggregated conservation residual {residual_signed} J"
     );
-    let served_fraction = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
 
     Ok(Some(FleetResult {
         summary: FleetSummary {
@@ -1866,7 +1359,7 @@ pub fn run_fleet_controlled(
             duration: plan.duration,
             energy_neutral_fraction: neutral as f64 / population as f64,
             uptime,
-            served_fraction,
+            served_fraction: served_fraction(shortfall, demanded),
             harvested,
             delivered,
             shortfall,
@@ -2376,53 +1869,84 @@ mod tests {
     }
 
     #[test]
-    fn dense_battery_batched_matches_scalar_bitwise() {
+    fn dense_battery_lanes_match_boxed_twin_bitwise() {
         let mut nimh = Battery::nimh_aa_pair();
         nimh.set_soc(0.5);
-        let build = |jitter: EnvJitter| {
+        // Heterogeneous duties: the uniform fast path must materialize
+        // the full population on divergence.
+        let policy = |seed: u64| -> Box<dyn DutyCyclePolicy> {
+            let d = 0.02 + 0.06 * (seed % 5) as f64 / 5.0;
+            Box::new(FixedDuty::new(DutyCycle::saturating(d)))
+        };
+        let run = |dense: bool, jitter: EnvJitter| {
             let mut spec = FleetSpec::new();
             let site = spec.add_site(Environment::outdoor_temperate(31));
-            spec.add_dense_group(
-                DenseGroup::new(
-                    "pv + nimh",
-                    23,
-                    site,
-                    SensorNode::submilliwatt_class(),
-                    solar_channel,
-                    DcDcConverter::buck_boost_3v3(),
-                    DenseStore::Battery(nimh.clone()),
-                    // Heterogeneous duties: the uniform fast path must
-                    // materialize the full population on divergence.
-                    |seed| {
-                        let d = 0.02 + 0.06 * (seed % 5) as f64 / 5.0;
-                        Box::new(FixedDuty::new(DutyCycle::saturating(d)))
-                    },
-                )
-                .with_seed(9)
-                .with_jitter(jitter),
-            );
-            spec
+            let node = SensorNode::submilliwatt_class();
+            if dense {
+                spec.add_dense_group(
+                    DenseGroup::new(
+                        "pv + nimh",
+                        23,
+                        site,
+                        node,
+                        solar_channel,
+                        DcDcConverter::buck_boost_3v3(),
+                        DenseStore::Battery(nimh.clone()),
+                        policy,
+                    )
+                    .with_seed(9)
+                    .with_jitter(jitter),
+                );
+            } else {
+                // The dense group's default supervisor: zero overhead,
+                // full monitoring.
+                let mut supervisor = Supervisor::none();
+                supervisor.monitoring = MonitoringLevel::Full;
+                let template = nimh.clone();
+                spec.add_group(
+                    FleetGroup::new(
+                        "pv + nimh",
+                        23,
+                        site,
+                        node,
+                        move |_| {
+                            Box::new(
+                                PowerUnit::builder("fleet battery node")
+                                    .harvester_port(
+                                        PortRequirement::any_in_window(
+                                            "PV",
+                                            Volts::ZERO,
+                                            Volts::new(7.0),
+                                        ),
+                                        Some(solar_channel()),
+                                        true,
+                                    )
+                                    .store_port(
+                                        PortRequirement::any_in_window(
+                                            "b",
+                                            Volts::ZERO,
+                                            Volts::new(3.0),
+                                        ),
+                                        Some(Box::new(template.clone())),
+                                        StoreRole::PrimaryBuffer,
+                                        true,
+                                    )
+                                    .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+                                    .supervisor(supervisor)
+                                    .build(),
+                            )
+                        },
+                        policy,
+                    )
+                    .with_seed(9)
+                    .with_jitter(jitter),
+                );
+            }
+            run_fleet(&spec, FleetConfig::over(Seconds::from_hours(3.0))).summary
         };
-        let run = |spec: &FleetSpec, tier: DenseSolveTier| {
-            run_fleet(
-                spec,
-                FleetConfig {
-                    dense_tier: tier,
-                    ..FleetConfig::over(Seconds::from_hours(3.0))
-                },
-            )
-            .summary
-        };
-        let plain = build(EnvJitter::NONE);
-        assert_eq!(
-            run(&plain, DenseSolveTier::Batched),
-            run(&plain, DenseSolveTier::Scalar)
-        );
-        let jittered = build(EnvJitter::relative(0.2));
-        assert_eq!(
-            run(&jittered, DenseSolveTier::Batched),
-            run(&jittered, DenseSolveTier::Scalar)
-        );
+        for jitter in [EnvJitter::NONE, EnvJitter::relative(0.2)] {
+            assert_eq!(run(true, jitter), run(false, jitter), "{jitter:?}");
+        }
     }
 
     #[test]
@@ -2578,6 +2102,36 @@ mod tests {
         );
         let err = run_fleet_controlled(&spec, config, FleetControl::default())
             .expect_err("book mismatch must reject");
+        assert!(err.contains("does not match"), "{err}");
+
+        // The same mismatch on a jittered group under per-step cadence,
+        // where the members step boxed: the declaration is still
+        // checked.
+        let mut spec = FleetSpec::new();
+        let site = spec.add_site(Environment::outdoor_temperate(11));
+        let mut wrong = solar_cap();
+        wrong.set_voltage(Volts::new(2.5));
+        spec.add_group(
+            FleetGroup::new(
+                "pv jittered",
+                2,
+                site,
+                SensorNode::submilliwatt_class(),
+                |_| Box::new(solar_unit()),
+                |_| Box::new(FixedDuty::new(duty())),
+            )
+            .with_jitter(EnvJitter::relative(0.2))
+            .with_dense_class(
+                DenseClass::new(
+                    solar_channel,
+                    DcDcConverter::buck_boost_3v3(),
+                    DenseStore::Supercap(wrong),
+                )
+                .with_monitoring(MonitoringLevel::None),
+            ),
+        );
+        let err = run_fleet_controlled(&spec, config.exact_env(), FleetControl::default())
+            .expect_err("book mismatch must reject under per-step cadence too");
         assert!(err.contains("does not match"), "{err}");
     }
 

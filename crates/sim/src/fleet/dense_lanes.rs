@@ -10,13 +10,18 @@
 //! channel's [`mseh_power::InputChannel::window_lanes`] once per
 //! control window across every lane's jittered snapshot.
 //!
+//! Jittered members the window-lane gate cannot cover (per-step
+//! cadence, or a channel without `supports_window_lanes`) build their
+//! own harvest table and step as one-lane populations of the same
+//! runner.
+//!
 //! The runner is generic over the store lane type ([`StoreLanes`]) and
 //! over where its class parameters come from ([`DenseView`]): a
 //! [`DenseGroup`](super::DenseGroup) on the dense lane, or a boxed
 //! [`FleetGroup`](super::FleetGroup) whose members opted into the
 //! kernels via [`DenseClass`](super::DenseClass). The policy arena
-//! drives the same core through [`run_lane_population`], supplying one
-//! policy per lane instead of seeding them from a factory.
+//! drives the same core through [`run_lanes`], supplying one policy per
+//! lane instead of seeding them from a factory.
 //!
 //! # Uniform fast path
 //!
@@ -24,7 +29,7 @@
 //! reading the same shared harvest table. While every lane's policy
 //! returns bit-identical duties the trajectories cannot diverge, so the
 //! runner steps a single representative lane (every policy is still
-//! driven each window — policy state must evolve exactly as scalar) and
+//! driven each window — policy state must evolve exactly as boxed) and
 //! materializes the full population from it on the first divergent
 //! duty ([`SupercapLanes::replicate_lane0`]). Homogeneous-policy groups
 //! collapse to one lane of arithmetic; heterogeneous groups pay at most
@@ -34,22 +39,27 @@
 //!
 //! # Bit-identity
 //!
-//! Every pass replicates the scalar path's exact arithmetic — same
-//! operation order, same guard branches, same accumulator sequence as
-//! [`simulate_node_dense`](super::simulate_node_dense) — and each
-//! lane's iterates are independent of its companions, so the result is
-//! bit-identical to the scalar tier *and* independent of how shards
-//! split a group into runs. The uniform fast path preserves this: a
-//! one-lane population's iterates equal any lane of a wider one. The
-//! fleet tests assert all of it.
+//! The boxed path is the reference: every pass replicates
+//! `PowerUnit::settle` for the one-channel/one-store shape — same
+//! operation order, same guard branches — the store kernels replicate
+//! the scalar `Storage` iterate sequence, and each lane books its steps
+//! through the same [`NodeBooks`] a boxed node does. Each lane's
+//! iterates are independent of its companions, so a lane is
+//! bit-identical to the same hardware built as a boxed `PowerUnit`
+//! *and* independent of how shards split a group into runs. The uniform
+//! fast path and the one-lane per-node path preserve this: a one-lane
+//! population's iterates equal any lane of a wider one. The fleet and
+//! arena tests assert all of it against boxed twins.
 
-use super::{ChannelFactory, NodeOutcome, PolicyFactory, StepPlan, NODE_SEED_STREAM};
+use super::{build_harvest_table, ChannelFactory, DenseStore, PolicyFactory, NODE_SEED_STREAM};
 use crate::cancel::{tripped, CancelToken};
+use crate::kernel::{NodeBooks, NodeOutcome, StepPlan};
+use mseh_core::StepReport;
 use mseh_env::rng::Noise;
 use mseh_env::{EnvConditions, EnvJitter, JitterFactors};
 use mseh_node::{DutyCyclePolicy, EnergyStatus, MonitoringLevel, SensorNode};
 use mseh_power::{DcDcConverter, HarvestStep, InputChannel, PowerStage};
-use mseh_storage::{Battery, BatteryLanes, Storage, Supercap, SupercapLanes};
+use mseh_storage::{BatteryLanes, Storage, SupercapLanes};
 use mseh_units::{DutyCycle, Joules, Ratio, Volts, Watts};
 
 /// The class parameters the generic runner needs, borrowed from either
@@ -65,6 +75,38 @@ pub(super) struct DenseView<'a> {
     pub(super) supervisor_overhead: Watts,
     pub(super) monitoring: MonitoringLevel,
     pub(super) policy: &'a PolicyFactory,
+}
+
+impl DenseView<'_> {
+    /// The lane population of this class driving `policies`.
+    fn population<'p>(
+        &'p self,
+        policies: &'p mut [Box<dyn DutyCyclePolicy>],
+    ) -> LanePopulation<'p> {
+        LanePopulation {
+            node: self.node,
+            output: self.output,
+            supervisor_overhead: self.supervisor_overhead,
+            monitoring: self.monitoring,
+            policies,
+        }
+    }
+}
+
+/// Where a fleet run's members get their harvests.
+pub(super) enum MemberHarvest {
+    /// Every member replays the class-wide table the engine built once
+    /// per group (un-jittered members).
+    Shared(Vec<HarvestStep>),
+    /// The group channel's `window_lanes` solves each control window
+    /// once across every member's jittered snapshot. The engine has
+    /// checked per-window cadence and
+    /// [`InputChannel::supports_window_lanes`] for the plan's `dt`.
+    WindowLanes,
+    /// Each member builds its own table ([`build_harvest_table`]) and
+    /// steps as a one-lane population: jittered members the window-lane
+    /// gate cannot cover.
+    PerNode,
 }
 
 /// The node-side parameters of one lane population, with one policy
@@ -165,248 +207,146 @@ impl StoreLanes for BatteryLanes {
     }
 }
 
-/// Per-lane running totals, mirroring `simulate_node_dense`'s locals.
-#[derive(Clone)]
-struct LaneAcc {
-    samples: f64,
-    harvested: Joules,
-    delivered: Joules,
-    shortfall: Joules,
-    demanded: Joules,
-    charged: Joules,
-    discharged: Joules,
-    brownout_steps: u64,
-    outage_run: u64,
-    longest_outage: u64,
-    converter_losses: Joules,
-    min_v: Volts,
-    last_harvest: Watts,
-}
-
-impl LaneAcc {
-    fn new() -> Self {
-        Self {
-            samples: 0.0,
-            harvested: Joules::ZERO,
-            delivered: Joules::ZERO,
-            shortfall: Joules::ZERO,
-            demanded: Joules::ZERO,
-            charged: Joules::ZERO,
-            discharged: Joules::ZERO,
-            brownout_steps: 0,
-            outage_run: 0,
-            longest_outage: 0,
-            converter_losses: Joules::ZERO,
-            min_v: Volts::new(f64::INFINITY),
-            last_harvest: Watts::ZERO,
-        }
-    }
-}
-
-/// Steps global nodes `lo..hi` of a supercap-store dense class as one
-/// lane population, pushing their [`NodeOutcome`]s onto `out` in node
-/// order. See [`run_lane_population`] for the shared semantics.
+/// Steps global nodes `lo..hi` of one dense class as lane populations,
+/// pushing their [`NodeOutcome`]s onto `out` in node order: derives
+/// per-node seeds, policies and jitter factors exactly as the boxed
+/// path does, then hands the members to [`run_lanes`] as `harvest`
+/// says. Returns `false` when `cancel` trips.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn simulate_supercap_run(
+pub(super) fn simulate_dense_run(
     view: &DenseView<'_>,
-    template: &Supercap,
+    store: &DenseStore,
+    harvest: &MemberHarvest,
     group_start: u64,
     lo: u64,
     hi: u64,
     rows: &[EnvConditions],
-    shared: Option<&[HarvestStep]>,
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
-    simulate_dense_run(
-        view,
-        SupercapLanes::from_template(template, 1),
-        template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
-        group_start,
-        lo,
-        hi,
-        rows,
-        shared,
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// Steps global nodes `lo..hi` of a battery-store dense class as one
-/// lane population, pushing their [`NodeOutcome`]s onto `out` in node
-/// order. See [`run_lane_population`] for the shared semantics.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn simulate_battery_run(
-    view: &DenseView<'_>,
-    template: &Battery,
-    group_start: u64,
-    lo: u64,
-    hi: u64,
-    rows: &[EnvConditions],
-    shared: Option<&[HarvestStep]>,
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    simulate_dense_run(
-        view,
-        BatteryLanes::from_template(template, 1),
-        template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
-        group_start,
-        lo,
-        hi,
-        rows,
-        shared,
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// Fleet-facing wrapper: derives per-node seeds, policies, and (for
-/// jittered runs) the group channel + per-lane jitter factors, then
-/// hands the population to [`run_lane_population`].
-#[allow(clippy::too_many_arguments)]
-fn simulate_dense_run<L: StoreLanes>(
-    view: &DenseView<'_>,
-    solo: L,
-    cap: Joules,
-    initial_stored: f64,
-    initial_losses: f64,
-    group_start: u64,
-    lo: u64,
-    hi: u64,
-    rows: &[EnvConditions],
-    shared: Option<&[HarvestStep]>,
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    let lanes_n = (hi - lo) as usize;
     let node_seed = |i: usize| {
         let within = lo - group_start + i as u64;
         Noise::new(view.seed).bits(NODE_SEED_STREAM, within)
     };
+    let factors = |i: usize| JitterFactors::derive(view.jitter, node_seed(i));
+    let mut policies: Vec<Box<dyn DutyCyclePolicy>> = (0..(hi - lo) as usize)
+        .map(|i| (view.policy)(node_seed(i)))
+        .collect();
 
-    let mut policies: Vec<Box<dyn DutyCyclePolicy>> =
-        (0..lanes_n).map(|i| (view.policy)(node_seed(i))).collect();
-
-    // Jittered runs drive the group channel once per window over every
-    // lane's jittered snapshot; the per-lane factors replicate the
-    // scalar path's per-node derivation.
-    let harvest = match shared {
-        Some(table) => LaneHarvest::Shared(table),
-        None => {
-            let factors: Vec<JitterFactors> = (0..lanes_n)
-                .map(|i| JitterFactors::derive(view.jitter, node_seed(i)))
-                .collect();
-            LaneHarvest::Jittered {
+    match harvest {
+        MemberHarvest::Shared(table) => run_lanes(
+            &mut view.population(&mut policies),
+            store,
+            LaneHarvest::Shared(table),
+            plan,
+            cancel,
+            out,
+        ),
+        MemberHarvest::WindowLanes => {
+            let jittered = LaneHarvest::Jittered {
                 channel: Box::new((view.channel)()),
-                factors,
+                factors: (0..policies.len()).map(factors).collect(),
                 rows,
-            }
+            };
+            run_lanes(
+                &mut view.population(&mut policies),
+                store,
+                jittered,
+                plan,
+                cancel,
+                out,
+            )
         }
-    };
-
-    let mut pop = LanePopulation {
-        node: view.node,
-        output: view.output,
-        supervisor_overhead: view.supervisor_overhead,
-        monitoring: view.monitoring,
-        policies: &mut policies,
-    };
-    run_lane_population(
-        &mut pop,
-        solo,
-        cap,
-        initial_stored,
-        initial_losses,
-        harvest,
-        plan,
-        cancel,
-        out,
-    )
+        MemberHarvest::PerNode => {
+            let mut table = Vec::new();
+            for (i, policy) in policies.chunks_mut(1).enumerate() {
+                let built = build_harvest_table(
+                    &mut (view.channel)(),
+                    rows,
+                    &factors(i),
+                    true,
+                    plan,
+                    cancel,
+                    &mut table,
+                );
+                if built.is_none()
+                    || !run_lanes(
+                        &mut view.population(policy),
+                        store,
+                        LaneHarvest::Shared(&table),
+                        plan,
+                        cancel,
+                        out,
+                    )
+                {
+                    return false;
+                }
+            }
+            true
+        }
+    }
 }
 
-/// Steps a policy-lane population of a supercap-store class against a
-/// shared harvest table, pushing one [`NodeOutcome`] per lane onto
-/// `out` in lane order. Arena-facing analogue of
-/// [`simulate_supercap_run`]: lanes are one-per-policy rather than
-/// one-per-node.
-pub(crate) fn run_supercap_lanes(
+/// Steps a lane population of one store class, pushing one
+/// [`NodeOutcome`] per lane onto `out` in lane order. Returns `false`
+/// — with no outcomes pushed — when `cancel` trips, checked once per
+/// control window.
+pub(crate) fn run_lanes(
     pop: &mut LanePopulation<'_>,
-    template: &Supercap,
-    table: &[HarvestStep],
+    store: &DenseStore,
+    harvest: LaneHarvest<'_>,
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
-    run_lane_population(
-        pop,
-        SupercapLanes::from_template(template, 1),
-        template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
-        LaneHarvest::Shared(table),
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// Steps a policy-lane population of a battery-store class against a
-/// shared harvest table. Arena-facing analogue of
-/// [`simulate_battery_run`].
-pub(crate) fn run_battery_lanes(
-    pop: &mut LanePopulation<'_>,
-    template: &Battery,
-    table: &[HarvestStep],
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    run_lane_population(
-        pop,
-        BatteryLanes::from_template(template, 1),
-        template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
-        LaneHarvest::Shared(table),
-        plan,
-        cancel,
-        out,
-    )
+    match store {
+        DenseStore::Supercap(template) => run_lane_population(
+            pop,
+            SupercapLanes::from_template(template, 1),
+            template,
+            harvest,
+            plan,
+            cancel,
+            out,
+        ),
+        DenseStore::Battery(template) => run_lane_population(
+            pop,
+            BatteryLanes::from_template(template, 1),
+            template,
+            harvest,
+            plan,
+            cancel,
+            out,
+        ),
+    }
 }
 
 /// The generic lane runner: steps one [`LanePopulation`] as a
-/// [`StoreLanes`] population, one lane per policy.
+/// [`StoreLanes`] population, one lane per policy, every lane starting
+/// from `template`'s state.
 ///
-/// [`LaneHarvest::Shared`] populations replay the class-wide table
-/// and start on the uniform fast path (see the module docs). [`LaneHarvest::Jittered`] populations
-/// drive the channel once per window over per-lane jittered snapshots.
-///
-/// Returns `false` — with no outcomes pushed — when `cancel` trips,
-/// checked once per control window.
+/// [`LaneHarvest::Shared`] populations replay the class-wide table and
+/// start on the uniform fast path (see the module docs).
+/// [`LaneHarvest::Jittered`] populations drive the channel once per
+/// window over per-lane jittered snapshots.
 #[allow(clippy::too_many_arguments)]
 fn run_lane_population<L: StoreLanes>(
     pop: &mut LanePopulation<'_>,
     solo: L,
-    cap: Joules,
-    initial_stored: f64,
-    initial_losses: f64,
+    template: &dyn Storage,
     harvest: LaneHarvest<'_>,
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
     let lanes_n = pop.policies.len();
+    // The boxed path's recognized capacity defaults to the device's
+    // datasheet capacity at attach time.
+    let cap = template.capacity();
     let recognized = cap;
+    let initial_stored = template.stored_energy().value();
+    let initial_losses = template.losses().value();
 
     let empty_rows: &[EnvConditions] = &[];
     let (shared, mut channel, factors, rows) = match harvest {
@@ -430,7 +370,9 @@ fn run_lane_population<L: StoreLanes>(
     // Lanes actually stepped this window (1 while uniform).
     let mut active = if uniform { 1 } else { lanes_n };
 
-    let mut acc: Vec<LaneAcc> = (0..lanes_n).map(|_| LaneAcc::new()).collect();
+    let mut books: Vec<NodeBooks> = vec![NodeBooks::new(); lanes_n];
+    // Each lane's last bus harvest, reported in its next status.
+    let mut last_harvest: Vec<Watts> = vec![Watts::ZERO; lanes_n];
 
     let mut jenvs: Vec<EnvConditions> = Vec::new();
     let mut whs: Vec<HarvestStep> = vec![HarvestStep::default(); lanes_n];
@@ -449,9 +391,28 @@ fn run_lane_population<L: StoreLanes>(
     let mut discharge_w = vec![0.0f64; lanes_n];
     let mut charged_o = vec![0.0f64; lanes_n];
     let mut discharged_o = vec![0.0f64; lanes_n];
+    let mut harvested_l = vec![Joules::ZERO; lanes_n];
     let mut deficit_l = vec![Joules::ZERO; lanes_n];
     let mut e_load_in_l = vec![Joules::ZERO; lanes_n];
     let mut servable_l = vec![true; lanes_n];
+
+    // `PowerUnit::energy_status` for a single primary store: actual SoC
+    // over the device capacity, believed stored energy over the
+    // recognized capacity, clamped to the monitoring tier.
+    let status_of = |lanes: &L, i: usize, last_harvest: Watts| {
+        let soc_actual = if cap.value() > 0.0 {
+            lanes.stored_energy(i) / cap.value()
+        } else {
+            0.0
+        };
+        EnergyStatus::full(
+            Volts::new(lanes.voltage(i)),
+            Ratio::new(soc_actual),
+            recognized * soc_actual,
+            last_harvest,
+        )
+        .clamped_to(pop.monitoring)
+    };
 
     let mut window_ordinal = 0usize;
     let mut window_start = 0u64;
@@ -460,27 +421,15 @@ fn run_lane_population<L: StoreLanes>(
             return false;
         }
         let window_end = (window_start + plan.control_every).min(plan.steps);
+        let at = plan.time_at(window_start);
 
-        // Policy prologue, per lane: the exact `EnergyStatus` the scalar
-        // dense path composes from its store. While uniform, every
-        // lane's state bit-equals lane 0's, so one status serves all
-        // policies — each of which is still driven, so stateful
-        // policies evolve exactly as scalar — and the population
-        // materializes on the first divergent duty.
+        // Policy prologue, per lane. While uniform, every lane's state
+        // bit-equals lane 0's, so one status serves all policies — each
+        // of which is still driven, so stateful policies evolve exactly
+        // as on the boxed path — and the population materializes on the
+        // first divergent duty.
         if uniform {
-            let soc_actual = if cap.value() > 0.0 {
-                lanes.stored_energy(0) / cap.value()
-            } else {
-                0.0
-            };
-            let status = EnergyStatus::full(
-                Volts::new(lanes.voltage(0)),
-                Ratio::new(soc_actual),
-                recognized * soc_actual,
-                acc[0].last_harvest,
-            )
-            .clamped_to(pop.monitoring);
-            let timed = status.at(plan.time_at(window_start));
+            let timed = status_of(&lanes, 0, last_harvest[0]).at(at);
             let mut diverged = false;
             for i in 0..lanes_n {
                 duties[i] = pop.policies[i].choose(pop.node, &timed);
@@ -490,36 +439,21 @@ fn run_lane_population<L: StoreLanes>(
             }
             if diverged {
                 lanes = lanes.replicate_lane0(lanes_n);
-                let a0 = acc[0].clone();
-                for a in acc.iter_mut().skip(1) {
-                    *a = a0.clone();
-                }
+                let (b0, h0) = (books[0].clone(), last_harvest[0]);
+                books.fill(b0);
+                last_harvest.fill(h0);
                 active = lanes_n;
                 uniform = false;
             }
-            for i in 0..active {
-                loads[i] = pop.node.average_power(duties[i]);
-                wsamples[i] = pop.node.step(duties[i], plan.dt).samples;
-            }
         } else {
             for i in 0..lanes_n {
-                let soc_actual = if cap.value() > 0.0 {
-                    lanes.stored_energy(i) / cap.value()
-                } else {
-                    0.0
-                };
-                let status = EnergyStatus::full(
-                    Volts::new(lanes.voltage(i)),
-                    Ratio::new(soc_actual),
-                    recognized * soc_actual,
-                    acc[i].last_harvest,
-                )
-                .clamped_to(pop.monitoring);
-                let duty = pop.policies[i].choose(pop.node, &status.at(plan.time_at(window_start)));
-                duties[i] = duty;
-                loads[i] = pop.node.average_power(duty);
-                wsamples[i] = pop.node.step(duty, plan.dt).samples;
+                let status = status_of(&lanes, i, last_harvest[i]);
+                duties[i] = pop.policies[i].choose(pop.node, &status.at(at));
             }
+        }
+        for i in 0..active {
+            loads[i] = pop.node.average_power(duties[i]);
+            wsamples[i] = pop.node.step(duties[i], plan.dt).samples;
         }
 
         // Harvest for the window: batched channel solve across lanes
@@ -538,20 +472,16 @@ fn run_lane_population<L: StoreLanes>(
 
         for j in window_start..window_end {
             let frac_step = plan.frac_dt.is_some() && j == plan.full_steps;
-            let step_dt = if frac_step {
-                plan.frac_dt.expect("frac step implies frac_dt")
-            } else {
-                plan.dt
-            };
+            let step_dt = plan.step_dt(j);
             if frac_step {
                 if let Some(ch) = channel.as_mut() {
                     ch.frac_lanes(&jenvs, &held, step_dt, &mut fhs);
                 }
             }
 
-            // Pass A — the pre-transfer half of the scalar step: resolve
-            // the lane's harvest, read the store voltage, stage the
-            // charge/discharge request.
+            // Pass A — the pre-transfer half of `PowerUnit::settle`:
+            // resolve the lane's harvest, read the store voltage, stage
+            // the charge/discharge request.
             for i in 0..active {
                 let hs: &HarvestStep = match shared {
                     Some(table) => &table[j as usize],
@@ -562,7 +492,7 @@ fn run_lane_population<L: StoreLanes>(
 
                 let harvested_w = hs.delivered;
                 let overhead_w = pop.supervisor_overhead + pop.output.quiescent() + hs.overhead;
-                acc[i].last_harvest = harvested_w;
+                last_harvest[i] = harvested_w;
 
                 let store_v = Volts::new(lanes.voltage(i));
                 let (load_in_w, servable) = if load.value() > 0.0 {
@@ -595,9 +525,9 @@ fn run_lane_population<L: StoreLanes>(
                     }
                     deficit_l[i] = deficit;
                 }
+                harvested_l[i] = e_h;
                 e_load_in_l[i] = e_load_in;
                 servable_l[i] = servable;
-                acc[i].harvested += e_h;
             }
 
             // Batched transfer + idle: masked passes over the lanes,
@@ -611,9 +541,8 @@ fn run_lane_population<L: StoreLanes>(
                 &mut discharged_o[..active],
             );
 
-            // Pass B — the post-transfer half: shortfall split, sample
-            // accounting, outage tracking. Accumulator order matches the
-            // scalar step exactly.
+            // Pass B — the post-transfer half: the shortfall split, then
+            // the step's report into the lane's books.
             for i in 0..active {
                 let load = loads[i];
                 let (step_samples, step_load_energy) = if frac_step {
@@ -621,105 +550,56 @@ fn run_lane_population<L: StoreLanes>(
                 } else {
                     (wsamples[i], load * plan.dt)
                 };
-                let step_charged = Joules::new(charged_o[i]);
-                let step_discharged = Joules::new(discharged_o[i]);
-                let unmet = (deficit_l[i] - step_discharged).max(Joules::ZERO);
+                let discharged = Joules::new(discharged_o[i]);
+                let unmet = (deficit_l[i] - discharged).max(Joules::ZERO);
                 let e_load_in = e_load_in_l[i];
 
-                let (step_delivered, step_shortfall, step_conv_loss) = if !servable_l[i] {
+                let (delivered, shortfall, converter_loss) = if !servable_l[i] {
                     (Joules::ZERO, load * step_dt, Joules::ZERO)
                 } else if e_load_in.value() > 0.0 {
                     let load_unmet = unmet.min(e_load_in);
                     let served_in = e_load_in - load_unmet;
                     let served = (served_in / e_load_in).clamp(0.0, 1.0);
                     let full_load = load * step_dt;
-                    let step_delivered = full_load * served;
+                    let delivered = full_load * served;
                     (
-                        step_delivered,
+                        delivered,
                         full_load * (1.0 - served),
-                        (served_in - step_delivered).max(Joules::ZERO),
+                        (served_in - delivered).max(Joules::ZERO),
                     )
                 } else {
                     (Joules::ZERO, Joules::ZERO, Joules::ZERO)
                 };
 
-                let a = &mut acc[i];
-                a.delivered += step_delivered;
-                a.shortfall += step_shortfall;
-                a.charged += step_charged;
-                a.discharged += step_discharged;
-                a.converter_losses += step_conv_loss;
-                a.demanded += step_load_energy;
-
-                let served_fraction = if step_shortfall.value() > 0.0 {
-                    let full = (step_delivered + step_shortfall).value();
-                    if full > 0.0 {
-                        step_delivered.value() / full
-                    } else {
-                        0.0
-                    }
-                } else {
-                    1.0
+                // The books read neither `overhead` nor `spilled`.
+                let report = StepReport {
+                    harvested: harvested_l[i],
+                    delivered,
+                    shortfall,
+                    charged: Joules::new(charged_o[i]),
+                    discharged,
+                    converter_loss,
+                    store_voltage: Volts::new(lanes.voltage(i)),
+                    ..StepReport::default()
                 };
-                a.samples += step_samples * served_fraction;
-
-                if step_shortfall.value() > 1e-12 {
-                    a.brownout_steps += 1;
-                    a.outage_run += 1;
-                    a.longest_outage = a.longest_outage.max(a.outage_run);
-                } else {
-                    a.outage_run = 0;
-                }
-                a.min_v = a.min_v.min(Volts::new(lanes.voltage(i)));
+                books[i].record(&report, step_samples, step_load_energy);
             }
         }
         window_start = window_end;
         window_ordinal += 1;
     }
 
-    let fold = |a: &LaneAcc, i: usize| -> NodeOutcome {
-        let d_stored = lanes.stored_energy(i) - initial_stored;
-        let d_losses = lanes.losses(i) - initial_losses;
-        let residual_signed = a.charged.value() - a.discharged.value() - d_losses - d_stored;
-        let throughput = (a.harvested + a.discharged + a.charged).value().max(1.0);
-        let audit_residual = residual_signed.abs() / throughput;
-        debug_assert!(
-            audit_residual < 1e-6,
-            "dense fleet node violated storage conservation: residual {residual_signed} J"
-        );
-        let uptime = if a.demanded.value() > 0.0 {
-            1.0 - (a.shortfall.value() / a.demanded.value()).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        NodeOutcome {
-            uptime,
-            samples: a.samples,
-            harvested: a.harvested,
-            delivered: a.delivered,
-            shortfall: a.shortfall,
-            demanded: a.demanded,
-            converter_losses: a.converter_losses,
-            brownout_steps: a.brownout_steps,
-            longest_outage_steps: a.longest_outage,
-            min_store_voltage: a.min_v,
-            audit_residual,
-            residual_signed,
-            throughput,
-            stranded: Joules::ZERO,
-        }
+    let close = |i: usize| {
+        let d_stored = Joules::new(lanes.stored_energy(i) - initial_stored);
+        let d_losses = Joules::new(lanes.losses(i) - initial_losses);
+        books[i].close(d_stored, d_losses, Joules::ZERO)
     };
-
     if uniform {
         // Never diverged: every member's trajectory is lane 0's.
-        let outcome = fold(&acc[0], 0);
-        for _ in 0..lanes_n {
-            out.push(outcome.clone());
-        }
+        let outcome = close(0);
+        out.extend(std::iter::repeat_n(outcome, lanes_n));
     } else {
-        for (i, a) in acc.iter().enumerate() {
-            out.push(fold(a, i));
-        }
+        out.extend((0..lanes_n).map(close));
     }
     true
 }

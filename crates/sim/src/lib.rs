@@ -67,6 +67,7 @@ mod cancel;
 mod ensemble;
 mod fault;
 mod fleet;
+mod kernel;
 mod metrics;
 mod observe;
 mod parallel;
@@ -93,9 +94,9 @@ pub use fault::{
     DegradingHarvester, FailingStorage, FaultSchedule, GlitchingHarvester, IntermittentStorage,
 };
 pub use fleet::{
-    run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseSolveTier,
-    DenseStore, EnvCadence, FleetConfig, FleetControl, FleetGroup, FleetResult, FleetSpec,
-    FleetSummary, GroupEntry, PlatformFactory, PolicyFactory, Straggler, UptimePercentiles,
+    run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseStore,
+    EnvCadence, FleetConfig, FleetControl, FleetGroup, FleetResult, FleetSpec, FleetSummary,
+    GroupEntry, PlatformFactory, PolicyFactory, Straggler, UptimePercentiles,
 };
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry,

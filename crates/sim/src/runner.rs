@@ -2,6 +2,8 @@
 //! environment, recording time series and enforcing energy conservation.
 
 use crate::cancel::{tripped, CancelToken};
+use crate::fleet::EnvCadence;
+use crate::kernel::{NodeBooks, StepPlan};
 use crate::observe::{SimEvent, SimObserver, StepEnergies};
 use crate::platform::Platform;
 use mseh_env::{EnvConditions, EnvSampler, Trace};
@@ -215,26 +217,8 @@ pub(crate) fn run_simulation_core(
     observers: &mut [&mut dyn SimObserver],
     cancel: Option<&CancelToken>,
 ) -> Option<SimResult> {
-    assert!(config.dt.value() > 0.0, "dt must be positive");
-    assert!(
-        config.duration >= config.dt,
-        "duration must cover at least one step"
-    );
-
-    // Truncate to whole steps and close the horizon with an explicit
-    // fractional step: rounding the count would simulate up to half a
-    // step past (or short of) the requested span, and ceiling always
-    // overshoots. The dust guard keeps exact multiples (e.g. one day of
-    // 60 s steps) from growing a ~1e-13 s ghost step.
-    let full_steps = (config.duration.value() / config.dt.value()).floor() as u64;
-    let frac_dt = {
-        let rem = config.duration.value() - full_steps as f64 * config.dt.value();
-        (rem > config.dt.value() * 1e-9).then(|| Seconds::new(rem))
-    };
-    let steps = full_steps + u64::from(frac_dt.is_some());
-    let control_every = (config.control_interval.value() / config.dt.value())
-        .round()
-        .max(1.0) as u64;
+    let plan = StepPlan::from_sim(config, EnvCadence::PerStep);
+    let steps = plan.steps;
 
     let initial_stored = platform.total_stored_energy();
     let initial_losses = platform.storage_losses();
@@ -313,20 +297,7 @@ pub(crate) fn run_simulation_core(
         );
     }
 
-    let mut samples = 0.0;
-    let mut harvested = Joules::ZERO;
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut demanded = Joules::ZERO;
-    let mut charged = Joules::ZERO;
-    let mut discharged = Joules::ZERO;
-    let mut spilled = Joules::ZERO;
-    let mut overheads = Joules::ZERO;
-    let mut converter_losses = Joules::ZERO;
-    let mut brownout_steps = 0u64;
-    let mut outage_run = 0u64;
-    let mut longest_outage = 0u64;
-    let mut min_v = Volts::new(f64::INFINITY);
+    let mut books = NodeBooks::new();
 
     let mut traces = config.record.then(|| SimTraces {
         store_voltage: Trace::with_capacity("store_voltage_v", steps as usize),
@@ -341,9 +312,8 @@ pub(crate) fn run_simulation_core(
     // Ambient conditions for the whole window are sampled in one
     // batched `conditions_into` call so samplers can amortize per-step
     // trig/noise setup.
-    let time_at =
-        |i: u64| -> Seconds { config.start_at + Seconds::new(i as f64 * config.dt.value()) };
-    let window_cap = control_every.min(steps) as usize;
+    let time_at = |i: u64| plan.time_at(i);
+    let window_cap = plan.control_every.min(steps) as usize;
     let mut times: Vec<Seconds> = Vec::with_capacity(window_cap);
     let mut conditions: Vec<EnvConditions> = Vec::with_capacity(window_cap);
     // One compact record per step accumulates here for the whole window
@@ -361,7 +331,7 @@ pub(crate) fn run_simulation_core(
         if tripped(cancel) {
             return None;
         }
-        let window_end = (window_start + control_every).min(steps);
+        let window_end = (window_start + plan.control_every).min(steps);
         let duty = policy.choose(node, &platform.energy_status().at(time_at(window_start)));
         let load = node.average_power(duty);
         let demand = node.step(duty, config.dt);
@@ -416,23 +386,14 @@ pub(crate) fn run_simulation_core(
             // The final step may be fractional (when the duration is not
             // an exact multiple of dt); everything per-step scales by
             // its actual width.
-            let (step_dt, step_samples, step_load_energy) = match frac_dt {
-                Some(frac) if window_start + j as u64 == full_steps => {
-                    (frac, node.step(duty, frac).samples, load * frac)
-                }
-                _ => (config.dt, demand.samples, load_energy),
+            let step_dt = plan.step_dt(window_start + j as u64);
+            let (step_samples, step_load_energy) = if step_dt == config.dt {
+                (demand.samples, load_energy)
+            } else {
+                (node.step(duty, step_dt).samples, load * step_dt)
             };
             let report = platform.step(&conditions[j], step_dt, load);
-
-            harvested += report.harvested;
-            delivered += report.delivered;
-            shortfall += report.shortfall;
-            charged += report.charged;
-            discharged += report.discharged;
-            spilled += report.spilled;
-            overheads += report.overhead;
-            converter_losses += report.converter_loss;
-            demanded += step_load_energy;
+            books.record(&report, step_samples, step_load_energy);
 
             if observing {
                 step_records.push(StepEnergies {
@@ -445,27 +406,6 @@ pub(crate) fn run_simulation_core(
                     shortfall: report.shortfall,
                 });
             }
-
-            let served_fraction = if report.shortfall.value() > 0.0 {
-                let full = (report.delivered + report.shortfall).value();
-                if full > 0.0 {
-                    report.delivered.value() / full
-                } else {
-                    0.0
-                }
-            } else {
-                1.0
-            };
-            samples += step_samples * served_fraction;
-
-            if report.shortfall.value() > 1e-12 {
-                brownout_steps += 1;
-                outage_run += 1;
-                longest_outage = longest_outage.max(outage_run);
-            } else {
-                outage_run = 0;
-            }
-            min_v = min_v.min(report.store_voltage);
 
             if let Some(tr) = traces.as_mut() {
                 tr.store_voltage.push(t, report.store_voltage.value());
@@ -523,34 +463,11 @@ pub(crate) fn run_simulation_core(
     // loop: charged − discharged − storage losses = Δstored.
     let d_stored = platform.total_stored_energy() - initial_stored;
     let d_losses = platform.storage_losses() - initial_losses;
-    let storage_residual = (charged - discharged - d_losses - d_stored).value();
-    let throughput = (harvested + discharged + charged).value().max(1.0);
-    let audit_residual = storage_residual.abs() / throughput;
-    debug_assert!(
-        audit_residual < 1e-6,
-        "storage conservation violated: residual {storage_residual} J"
-    );
-
-    let uptime = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-
-    Some(SimResult {
-        duration: config.duration,
-        uptime,
-        samples,
-        harvested,
-        delivered,
-        shortfall,
-        converter_losses,
-        brownout_steps,
-        longest_outage_steps: longest_outage,
-        min_store_voltage: min_v,
-        audit_residual,
-        traces,
-    })
+    let mut result = books
+        .close(d_stored, d_losses, platform.stranded_energy())
+        .to_sim_result(config.duration);
+    result.traces = traces;
+    Some(result)
 }
 
 #[cfg(test)]

@@ -1,28 +1,33 @@
-//! Tier-equivalence properties of the dense lane's batched
-//! struct-of-arrays solves.
+//! Dense lanes against their boxed reference.
 //!
-//! The contract under test: [`DenseSolveTier::Batched`] is bit-identical
-//! to [`DenseSolveTier::Scalar`] — same harvest, same uptime
-//! distribution, same audit, same stragglers — across harvester classes,
-//! controllers, supercap parameter sets, jitter settings and run
-//! geometry, because the batch kernels replicate the scalar iterate
-//! sequence under a convergence mask rather than inventing a new
-//! numerical scheme. Every comparison is full-summary equality.
+//! The contract under test: a dense group's struct-of-arrays lanes are
+//! bit-identical to the same hardware built as boxed
+//! [`mseh_core::PowerUnit`]s — same harvest, same uptime distribution,
+//! same audit, same stragglers — across harvester classes, controllers,
+//! store kinds and parameter sets, jitter settings, sampling cadences
+//! and run geometry, because the batch kernels replicate the scalar
+//! iterate sequence under a convergence mask rather than inventing a
+//! new numerical scheme. Every comparison is full-summary equality.
 
+use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::{EnvJitter, Environment};
 use mseh_harvesters::{FlowTurbine, PvModule, Rectenna, Teg};
-use mseh_node::{FixedDuty, MonitoringLevel, SensorNode, VoltageThreshold};
+use mseh_node::{DutyCyclePolicy, FixedDuty, MonitoringLevel, SensorNode, VoltageThreshold};
 use mseh_power::{DcDcConverter, FixedPoint, FractionalVoc, IdealDiode, InputChannel};
-use mseh_sim::{
-    run_fleet, DenseGroup, DenseSolveTier, DenseStore, FleetConfig, FleetSpec, FleetSummary,
-};
+use mseh_sim::{run_fleet, DenseGroup, DenseStore, FleetConfig, FleetGroup, FleetSpec};
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_units::{DutyCycle, Seconds, Volts};
 
 /// One dense platform preset per Table-I system: the seven surveyed
 /// harvester-class / controller / buffer combinations, reduced to the
-/// dense lane's one-channel/one-supercap shape.
+/// dense lane's one-channel/one-store shape.
 const PRESETS: usize = 7;
+
+/// An extra preset whose channel the window-lane gate cannot cover: a
+/// wind turbine behind a Thevenin-fraction tracker (turbines expose no
+/// batched open-circuit-voltage kernel). Jittered groups of it step as
+/// one-lane populations over per-node harvest tables.
+const NO_WINDOW_LANES: usize = PRESETS;
 
 fn channel_for(preset: usize) -> InputChannel {
     let (harvester, controller): (_, Box<dyn mseh_power::OperatingPointController>) = match preset {
@@ -58,10 +63,15 @@ fn channel_for(preset: usize) -> InputChannel {
             Box::new(FixedPoint::new(Volts::new(2.4))),
         ),
         // G: EH-Link — RF rectenna column, fixed point.
-        _ => (
+        6 => (
             Box::new(Rectenna::rectenna_915mhz()) as _,
             Box::new(FixedPoint::new(Volts::new(1.8))),
         ),
+        NO_WINDOW_LANES => (
+            Box::new(FlowTurbine::micro_wind()) as _,
+            Box::new(FractionalVoc::thevenin_standard()),
+        ),
+        _ => unreachable!("no preset {preset}"),
     };
     InputChannel::new(
         harvester,
@@ -106,57 +116,99 @@ fn site_for(preset: usize, seed: u64) -> Environment {
     }
 }
 
-fn spec_for(preset: usize, seed: u64, jitter: EnvJitter, count: usize) -> FleetSpec {
-    spec_with_store(
-        preset,
-        seed,
-        jitter,
-        count,
-        DenseStore::Supercap(cap_for(preset)),
-    )
+#[derive(Debug, Clone, Copy)]
+enum Store {
+    Supercap,
+    Battery,
 }
 
-fn battery_spec_for(preset: usize, seed: u64, jitter: EnvJitter, count: usize) -> FleetSpec {
-    spec_with_store(
-        preset,
-        seed,
-        jitter,
-        count,
-        DenseStore::Battery(batt_for(preset)),
-    )
+fn store_for(preset: usize, store: Store) -> DenseStore {
+    match store {
+        Store::Supercap => DenseStore::Supercap(cap_for(preset)),
+        Store::Battery => DenseStore::Battery(batt_for(preset)),
+    }
 }
 
-fn spec_with_store(
+/// The boxed twin of a dense preset: a `PowerUnit` with the preset's
+/// channel and store, the dense lane's output converter, and the dense
+/// group's default supervisor (zero overhead, full monitoring).
+fn boxed_twin(preset: usize, store: &DenseStore) -> PowerUnit {
+    let store: Box<dyn Storage> = match store {
+        DenseStore::Supercap(cap) => Box::new(cap.clone()),
+        DenseStore::Battery(batt) => Box::new(batt.clone()),
+    };
+    let mut supervisor = Supervisor::none();
+    supervisor.monitoring = MonitoringLevel::Full;
+    PowerUnit::builder("boxed twin")
+        .harvester_port(
+            PortRequirement::any_in_window("h", Volts::ZERO, Volts::new(50.0)),
+            Some(channel_for(preset)),
+            true,
+        )
+        .store_port(
+            PortRequirement::any_in_window("b", Volts::ZERO, Volts::new(50.0)),
+            Some(store),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(supervisor)
+        .build()
+}
+
+/// One group of `count` preset nodes: dense lanes, or (`boxed`) their
+/// boxed twins under the same seeds, policies and jitter.
+fn spec_for(
     preset: usize,
+    store: Store,
     seed: u64,
     jitter: EnvJitter,
     count: usize,
-    store: DenseStore,
+    boxed: bool,
 ) -> FleetSpec {
     let mut spec = FleetSpec::new();
     let site = spec.add_site(site_for(preset, seed));
-    let group = DenseGroup::new(
-        "preset",
-        count,
-        site,
-        SensorNode::submilliwatt_class(),
-        move || channel_for(preset),
-        DcDcConverter::buck_boost_3v3(),
-        store,
-        move |node_seed| {
-            if preset.is_multiple_of(2) {
-                Box::new(VoltageThreshold::supercap_ladder())
-            } else {
-                Box::new(FixedDuty::new(DutyCycle::saturating(
-                    0.02 + 0.08 * (node_seed % 7) as f64 / 7.0,
-                )))
-            }
-        },
-    )
-    .with_seed(seed ^ 0x5EED)
-    .with_jitter(jitter)
-    .with_monitoring(MonitoringLevel::Full);
-    spec.add_dense_group(group);
+    let node = SensorNode::submilliwatt_class();
+    let template = store_for(preset, store);
+    let policy = move |node_seed: u64| -> Box<dyn DutyCyclePolicy> {
+        if preset.is_multiple_of(2) {
+            Box::new(VoltageThreshold::supercap_ladder())
+        } else {
+            Box::new(FixedDuty::new(DutyCycle::saturating(
+                0.02 + 0.08 * (node_seed % 7) as f64 / 7.0,
+            )))
+        }
+    };
+    if boxed {
+        spec.add_group(
+            FleetGroup::new(
+                "preset",
+                count,
+                site,
+                node,
+                move |_| Box::new(boxed_twin(preset, &template)),
+                policy,
+            )
+            .with_seed(seed ^ 0x5EED)
+            .with_jitter(jitter),
+        );
+    } else {
+        spec.add_dense_group(
+            DenseGroup::new(
+                "preset",
+                count,
+                site,
+                node,
+                move || channel_for(preset),
+                DcDcConverter::buck_boost_3v3(),
+                template,
+                policy,
+            )
+            .with_seed(seed ^ 0x5EED)
+            .with_jitter(jitter)
+            .with_monitoring(MonitoringLevel::Full),
+        );
+    }
     spec
 }
 
@@ -167,72 +219,69 @@ fn horizon() -> Seconds {
     Seconds::from_hours(2.0) + Seconds::new(10.0)
 }
 
-fn run_tier(spec: &FleetSpec, tier: DenseSolveTier) -> FleetSummary {
-    run_fleet(spec, FleetConfig::over(horizon()).with_dense_tier(tier)).summary
-}
-
-#[test]
-fn batched_matches_scalar_bitwise_across_presets_unjittered() {
-    for preset in 0..PRESETS {
-        for seed in [11u64, 4242] {
-            let spec = spec_for(preset, seed, EnvJitter::NONE, 9);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
+/// Asserts dense ≡ boxed in full summary equality for `preset` over
+/// both jitter settings, both cadences and two seeds.
+fn assert_dense_matches_boxed(preset: usize, store: Store) {
+    for jitter in [EnvJitter::NONE, EnvJitter::relative(0.25)] {
+        for exact_env in [false, true] {
+            let mut config = FleetConfig::over(horizon());
+            if exact_env {
+                config = config.exact_env();
+            }
+            for seed in [11u64, 1999] {
+                let dense = run_fleet(&spec_for(preset, store, seed, jitter, 9, false), config);
+                let boxed = run_fleet(&spec_for(preset, store, seed, jitter, 9, true), config);
+                assert_eq!(
+                    dense.summary, boxed.summary,
+                    "{store:?} preset {preset}, seed {seed}, {jitter:?}, exact_env {exact_env}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn batched_matches_scalar_bitwise_across_presets_jittered() {
+fn supercap_lanes_match_boxed_twins_across_presets() {
     for preset in 0..PRESETS {
         // Guard against vacuity: every preset's channel must clear the
-        // window-batchable gate, or the jittered run silently falls back
-        // to the scalar dense path and this test compares it to itself.
+        // window-lane gate, or the jittered per-window runs would take
+        // the per-node table path instead of the batched channel solve.
         assert!(
             channel_for(preset).supports_window_lanes(Seconds::new(60.0)),
             "preset {preset} is not window-batchable"
         );
-        for seed in [7u64, 1999] {
-            let spec = spec_for(preset, seed, EnvJitter::relative(0.25), 8);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
-        }
+        assert_dense_matches_boxed(preset, Store::Supercap);
     }
 }
 
 #[test]
-fn battery_batched_matches_scalar_bitwise_across_presets_unjittered() {
-    for preset in 0..PRESETS {
-        for seed in [11u64, 4242] {
-            let spec = battery_spec_for(preset, seed, EnvJitter::NONE, 9);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn battery_batched_matches_scalar_bitwise_across_presets_jittered() {
+fn battery_lanes_match_boxed_twins_across_presets() {
     for preset in 0..PRESETS {
         assert!(
             channel_for(preset).supports_window_lanes(Seconds::new(60.0)),
             "preset {preset} is not window-batchable"
         );
-        for seed in [7u64, 1999] {
-            let spec = battery_spec_for(preset, seed, EnvJitter::relative(0.25), 8);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
-        }
+        assert_dense_matches_boxed(preset, Store::Battery);
     }
 }
 
 #[test]
-fn battery_batched_tier_is_invariant_to_run_geometry() {
-    let spec = battery_spec_for(1, 31, EnvJitter::relative(0.2), 13);
+fn one_lane_per_node_tables_match_boxed_twins() {
+    // Guard against vacuity: the channel must fail the window-lane gate,
+    // so the jittered group steps one-lane populations under both
+    // cadences.
+    assert!(
+        !channel_for(NO_WINDOW_LANES).supports_window_lanes(Seconds::new(60.0)),
+        "the turbine + Thevenin-fraction channel became window-batchable"
+    );
+    for store in [Store::Supercap, Store::Battery] {
+        assert_dense_matches_boxed(NO_WINDOW_LANES, store);
+    }
+}
+
+#[test]
+fn battery_lanes_are_invariant_to_run_geometry() {
+    let spec = spec_for(1, Store::Battery, 31, EnvJitter::relative(0.2), 13, false);
     let reference = run_fleet(
         &spec,
         FleetConfig::over(horizon())
@@ -253,11 +302,11 @@ fn battery_batched_tier_is_invariant_to_run_geometry() {
 }
 
 #[test]
-fn batched_tier_is_invariant_to_run_geometry() {
+fn supercap_lanes_are_invariant_to_run_geometry() {
     // Shard size 1 forces single-lane runs, 3 splits the group mid-run,
     // 1024 gives one run for the whole group: the lane population's
     // composition must never leak into any lane's bits.
-    let spec = spec_for(0, 31, EnvJitter::relative(0.2), 13);
+    let spec = spec_for(0, Store::Supercap, 31, EnvJitter::relative(0.2), 13, false);
     let reference = run_fleet(
         &spec,
         FleetConfig::over(horizon())
@@ -278,33 +327,30 @@ fn batched_tier_is_invariant_to_run_geometry() {
 }
 
 #[test]
-fn percentiles_and_stragglers_stay_ordered_on_every_tier() {
-    for tier in [DenseSolveTier::Scalar, DenseSolveTier::Batched] {
-        let spec = spec_for(0, 23, EnvJitter::relative(0.3), 17);
-        let s = run_fleet(
-            &spec,
-            FleetConfig {
-                stragglers: 6,
-                ..FleetConfig::over(horizon())
-            }
-            .with_dense_tier(tier),
-        )
-        .summary;
-        let u = &s.uptime;
-        let ladder = [u.min, u.p05, u.p25, u.p50, u.p75, u.p95, u.max];
-        assert!(
-            ladder.windows(2).all(|w| w[0] <= w[1]),
-            "{tier:?}: percentile ladder not monotone: {ladder:?}"
-        );
-        assert!(u.min <= u.mean && u.mean <= u.max, "{tier:?}");
-        assert_eq!(s.stragglers.len(), 6, "{tier:?}");
-        assert!(
-            s.stragglers
-                .windows(2)
-                .all(|w| (w[0].uptime, w[0].node) < (w[1].uptime, w[1].node)
-                    || (w[0].uptime == w[1].uptime && w[0].node < w[1].node)),
-            "{tier:?}: stragglers must be sorted by (uptime, node index)"
-        );
-        assert_eq!(s.stragglers[0].uptime, u.min, "{tier:?}");
-    }
+fn percentiles_and_stragglers_stay_ordered() {
+    let spec = spec_for(0, Store::Supercap, 23, EnvJitter::relative(0.3), 17, false);
+    let s = run_fleet(
+        &spec,
+        FleetConfig {
+            stragglers: 6,
+            ..FleetConfig::over(horizon())
+        },
+    )
+    .summary;
+    let u = &s.uptime;
+    let ladder = [u.min, u.p05, u.p25, u.p50, u.p75, u.p95, u.max];
+    assert!(
+        ladder.windows(2).all(|w| w[0] <= w[1]),
+        "percentile ladder not monotone: {ladder:?}"
+    );
+    assert!(u.min <= u.mean && u.mean <= u.max);
+    assert_eq!(s.stragglers.len(), 6);
+    assert!(
+        s.stragglers
+            .windows(2)
+            .all(|w| (w[0].uptime, w[0].node) < (w[1].uptime, w[1].node)
+                || (w[0].uptime == w[1].uptime && w[0].node < w[1].node)),
+        "stragglers must be sorted by (uptime, node index)"
+    );
+    assert_eq!(s.stragglers[0].uptime, u.min);
 }

@@ -3,7 +3,7 @@
 //! survey's Table-I platforms; two dense-lane groups show the
 //! struct-of-arrays fast path carrying a 50 000-node battery-class
 //! metering rollout and a 20 000-node supercap-class sensor strip —
-//! the latter solved by the batched Newton tier — in the same run.
+//! the latter solved by batched Newton lane passes — in the same run.
 //!
 //! ```sh
 //! cargo run --release --example fleet
@@ -16,9 +16,7 @@ use mseh::env::{EnvJitter, Environment};
 use mseh::harvesters::PvModule;
 use mseh::node::{FixedDuty, SensorNode, VoltageThreshold};
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
-use mseh::sim::{
-    run_fleet, DenseGroup, DenseSolveTier, DenseStore, FleetConfig, FleetGroup, FleetSpec,
-};
+use mseh::sim::{run_fleet, DenseGroup, DenseStore, FleetConfig, FleetGroup, FleetSpec};
 use mseh::storage::{Battery, Supercap};
 use mseh::systems::SystemId;
 use mseh::units::{DutyCycle, Seconds, Volts};
@@ -125,9 +123,9 @@ fn main() {
         .with_seed(6),
     );
     // A supercap-class dense lane: the EDLC voltage update is a Newton
-    // solve every step, which the batched tier (the default) runs as
-    // masked struct-of-arrays passes over the whole lane — bit-identical
-    // to the scalar path, roughly an order of magnitude faster.
+    // solve every step, which the lanes run as masked struct-of-arrays
+    // passes over the whole population — bit-identical to the same
+    // nodes built as boxed platforms.
     let mut strip_cap = Supercap::edlc_22f();
     strip_cap.set_voltage(Volts::new(1.8));
     spec.add_dense_group(
@@ -159,12 +157,7 @@ fn main() {
     );
 
     let started = Instant::now();
-    // `Batched` is already the default dense tier; the builder is spelled
-    // out here to show the knob — swap in `DenseSolveTier::Scalar` for
-    // the per-lane reference path (bit-identical, slower).
-    let config =
-        FleetConfig::over(Seconds::from_hours(hours)).with_dense_tier(DenseSolveTier::Batched);
-    let out = run_fleet(&spec, config);
+    let out = run_fleet(&spec, FleetConfig::over(Seconds::from_hours(hours)));
     let elapsed = started.elapsed().as_secs_f64();
     let s = &out.summary;
 

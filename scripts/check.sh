@@ -98,17 +98,17 @@ echo "==> fleet regression gate (quick node-steps/s vs committed BENCH_sim.json)
 # monomorphization) costs 5-8x.
 floor_gate node_steps_per_sec 0.7
 
-echo "==> dense-supercap regression gate (quick batched node-steps/s vs committed BENCH_sim.json)"
-# The batched struct-of-arrays tier's headline. Same 30% floor and
+echo "==> dense-supercap regression gate (quick lane node-steps/s vs committed BENCH_sim.json)"
+# The struct-of-arrays supercap lanes' headline. Same 30% floor and
 # rationale as the fleet gate above; a real regression (losing the
-# batched tier and falling back to per-lane scalar Newton) costs ~10x.
+# batched Newton passes or the uniform fast path) costs ~10x.
 floor_gate dense_supercap_node_steps_per_sec 0.7
 
-echo "==> dense-battery regression gate (quick batched node-steps/s vs committed BENCH_sim.json)"
-# The battery-store batched lane (lane-shared keep-fraction powf plus
-# the uniform fast path). Same 30% floor and rationale as the gates
-# above; a real regression (losing the batched gate and falling back to
-# per-node scalar stepping) costs >10x.
+echo "==> dense-battery regression gate (quick lane node-steps/s vs committed BENCH_sim.json)"
+# The battery-store lanes (lane-shared keep-fraction powf plus the
+# uniform fast path). Same 30% floor and rationale as the gates above;
+# a real regression (losing the uniform fast path or stepping lanes one
+# node at a time) costs >10x.
 floor_gate dense_battery_batched_node_steps_per_sec 0.7
 
 echo "==> arena regression gate (quick policy-evals/s vs committed BENCH_sim.json)"
@@ -141,24 +141,25 @@ grep -q '"arena_lanes_match_independent_runs": true' target/BENCH_sim_quick.json
 }
 echo "ok: all arena lanes bit-identical to independent runs"
 
-echo "==> batched-solve bit-identity smoke (supercap lane, batched vs scalar tier)"
-# The harness asserts full summary equality before writing the flag.
-grep -q '"dense_supercap_batched_matches_scalar": true' target/BENCH_sim_quick.json || {
-    echo "FAIL: batched supercap tier diverged from the scalar reference"
+echo "==> dense-lane bit-identity smoke (supercap lanes vs boxed twins)"
+# The harness asserts full summary equality against the same nodes
+# built as boxed PowerUnits before writing the flag.
+grep -q '"dense_supercap_matches_boxed": true' target/BENCH_sim_quick.json || {
+    echo "FAIL: dense supercap lanes diverged from their boxed twins"
     exit 1
 }
-echo "ok: batched supercap tier bit-identical to scalar tier"
+echo "ok: dense supercap lanes bit-identical to boxed twins"
 
-echo "==> batched-solve bit-identity smoke (battery lane, batched vs scalar tier)"
-grep -q '"dense_battery_batched_matches_scalar": true' target/BENCH_sim_quick.json || {
-    echo "FAIL: batched battery tier diverged from the scalar reference"
+echo "==> dense-lane bit-identity smoke (battery lanes vs boxed twins)"
+grep -q '"dense_battery_matches_boxed": true' target/BENCH_sim_quick.json || {
+    echo "FAIL: dense battery lanes diverged from their boxed twins"
     exit 1
 }
 grep -q '"matches_plain_boxed": true' target/BENCH_sim_quick.json || {
     echo "FAIL: opted-in boxed group diverged from the plain boxed path"
     exit 1
 }
-echo "ok: batched battery tier bit-identical to scalar tier; boxed opt-in matches plain boxed"
+echo "ok: dense battery lanes bit-identical to boxed twins; boxed opt-in matches plain boxed"
 
 echo "==> fleet bit-identity smoke (one-node fleet vs run_simulation)"
 # The harness asserts the equality before writing the flag, alongside

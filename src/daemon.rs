@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | `single` | `system`, `env`, `days`, `seed`, `policy` | one [`run_simulation`] |
 //! | `campaign` | `system`, `days`, `seed`, `seeds` | a resilience campaign |
-//! | `fleet` | `system`, `env`, `days`, `seed`, `population`, `policy`, `jitter`, `dense_tier`, `shard_size` | a fleet run |
+//! | `fleet` | `system`, `env`, `days`, `seed`, `population`, `policy`, `jitter`, `shard_size` | a fleet run |
 //! | `arena` | `system`, `env`, `days`, `seed`, `seeds`, `roster` | a policy arena |
 //!
 //! Every field is optional except `system`; defaults mirror the CLI.
@@ -33,8 +33,8 @@ use mseh_sim::serve::{JobContext, JobOutput, JobRunner, JobSpec, PreparedJob};
 use mseh_sim::{
     default_contenders, run_arena_controlled, run_fleet_controlled,
     run_resilience_campaign_cancellable, run_simulation_cancellable, ArenaConfig, ArenaSpec,
-    ArenaSummary, CampaignConfig, CampaignSummary, Contender, DenseSolveTier, FleetConfig,
-    FleetControl, FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult,
+    ArenaSummary, CampaignConfig, CampaignSummary, Contender, FleetConfig, FleetControl,
+    FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult,
 };
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
@@ -144,20 +144,6 @@ pub fn make_roster(spec: &str) -> Result<Vec<Contender>, String> {
         ));
     }
     Ok(roster)
-}
-
-/// Parses a dense solve tier from its CLI/wire spelling
-/// (`scalar | batched`). The tier governs dense and opted-in groups;
-/// boxed groups without a dense class ignore it, so the digest of a
-/// plain boxed fleet is tier-invariant. Both tiers are bit-identical.
-pub fn parse_dense_tier(spec: &str) -> Result<DenseSolveTier, String> {
-    match spec {
-        "scalar" => Ok(DenseSolveTier::Scalar),
-        "batched" => Ok(DenseSolveTier::Batched),
-        other => Err(format!(
-            "unknown dense tier {other:?} (use scalar or batched)"
-        )),
-    }
 }
 
 /// Bit-exact digest of a single run's summary — the `digest` in a
@@ -287,7 +273,6 @@ fn allowed_fields(kind: &str) -> &'static [&'static str] {
             "population",
             "policy",
             "jitter",
-            "dense_tier",
             "shard_size",
         ],
         "arena" => &["system", "env", "days", "seed", "seeds", "roster"],
@@ -497,10 +482,6 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
     if !jitter.is_finite() || !(0.0..=1.0).contains(&jitter) {
         return Err(format!("jitter must be in 0..=1, got {jitter}"));
     }
-    let dense_tier = match spec.get("dense_tier") {
-        None => DenseSolveTier::Batched,
-        Some(v) => parse_dense_tier(v)?,
-    };
     let shard_size = parse_u64_field(spec, "shard_size", 16)?;
     if shard_size == 0 || shard_size > MAX_SHARD_SIZE {
         return Err(format!(
@@ -513,7 +494,7 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
         run: Box::new(move |ctx| {
             let Some(result) = run_fleet_controlled(
                 &build_fleet_spec(system, &env_kind, seed, population, &policy_spec, jitter),
-                fleet_config(days, dense_tier, shard_size as usize),
+                fleet_config(days, shard_size as usize),
                 FleetControl {
                     cancel: Some(ctx.cancel_token()),
                     progress: Some(&|done: u64, total: u64| {
@@ -662,10 +643,9 @@ pub fn build_fleet_spec(
 /// The exact [`FleetConfig`] a `fleet` job runs under (the wire
 /// default shard size of 16 is kept small so progress events arrive
 /// while the job streams).
-pub fn fleet_config(days: f64, dense_tier: DenseSolveTier, shard_size: usize) -> FleetConfig {
+pub fn fleet_config(days: f64, shard_size: usize) -> FleetConfig {
     FleetConfig {
         shard_size,
-        dense_tier,
         ..FleetConfig::over(Seconds::from_days(days))
     }
 }
@@ -720,34 +700,15 @@ mod tests {
             .prepare(&spec("campaign", &[("system", "A"), ("seeds", "0")]))
             .is_err());
         assert!(catalog.prepare(&spec("mystery", &[])).is_err());
-        // Solve-tier and shard-geometry knobs: fleet-only, range-checked.
+        // The shard-geometry knob: fleet-only, range-checked.
         assert!(catalog
-            .prepare(&spec(
-                "fleet",
-                &[
-                    ("system", "A"),
-                    ("dense_tier", "scalar"),
-                    ("shard_size", "8")
-                ]
-            ))
+            .prepare(&spec("fleet", &[("system", "A"), ("shard_size", "8")]))
             .is_ok());
-        assert!(catalog
-            .prepare(&spec("fleet", &[("system", "A"), ("dense_tier", "warp")]))
-            .is_err());
-        assert!(catalog
-            .prepare(&spec(
-                "fleet",
-                &[("system", "A"), ("dense_tier", "interp:4096")]
-            ))
-            .is_err());
         assert!(catalog
             .prepare(&spec("fleet", &[("system", "A"), ("shard_size", "0")]))
             .is_err());
         assert!(catalog
-            .prepare(&spec(
-                "single",
-                &[("system", "A"), ("dense_tier", "batched")]
-            ))
+            .prepare(&spec("single", &[("system", "A"), ("shard_size", "8")]))
             .is_err());
     }
 
@@ -804,17 +765,6 @@ mod tests {
         let mut tweaked = out.summary;
         tweaked.standings[0].served_fraction += 1e-12;
         assert_ne!(d1, digest_arena(&tweaked));
-    }
-
-    #[test]
-    fn dense_tier_spellings_round_trip() {
-        assert_eq!(parse_dense_tier("scalar"), Ok(DenseSolveTier::Scalar));
-        assert_eq!(parse_dense_tier("batched"), Ok(DenseSolveTier::Batched));
-        // Unknown spellings are rejected with the list of valid tiers.
-        for removed in ["interp:512", "interp:", "BATCHED", ""] {
-            let err = parse_dense_tier(removed).expect_err(removed);
-            assert!(err.contains("scalar") && err.contains("batched"), "{err}");
-        }
     }
 
     #[test]

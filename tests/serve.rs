@@ -18,7 +18,7 @@ use mseh::daemon::{
 use mseh::node::SensorNode;
 use mseh::sim::serve::protocol::parse_line;
 use mseh::sim::serve::{serve, ServeConfig, ServerHandle};
-use mseh::sim::{run_arena, run_fleet, run_simulation, ArenaConfig, DenseSolveTier, SimConfig};
+use mseh::sim::{run_arena, run_fleet, run_simulation, ArenaConfig, SimConfig};
 use mseh::systems::SystemId;
 use mseh::units::Seconds;
 
@@ -213,7 +213,7 @@ fn streamed_fleet_digest_matches_direct_run_bit_for_bit() {
     let wire_digest = field(&result, "digest").expect("digest field");
 
     let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.1);
-    let direct = run_fleet(&spec, fleet_config(0.1, DenseSolveTier::Batched, 16));
+    let direct = run_fleet(&spec, fleet_config(0.1, 16));
     assert_eq!(
         wire_digest,
         format!("{:016x}", digest_fleet(&direct.summary)),
@@ -228,61 +228,66 @@ fn batched_tier_fleet_job_digest_matches_direct_run_bit_for_bit() {
     let handle = start(8, 2);
     let mut client = Client::connect(&handle);
 
-    // Explicit solve-tier and shard-geometry fields on the wire; the
-    // in-process reproduction passes the same knobs straight to the
-    // fleet engine and the digests must agree bit for bit.
+    // A jittered fleet job on the batched dense lanes with an explicit
+    // shard-geometry field on the wire; the in-process reproduction
+    // passes the same knob straight to the fleet engine and the digests
+    // must agree bit for bit.
     let result = run_to_result(
         &mut client,
         "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;jitter=0.1;\
-         dense_tier=batched;shard_size=8",
+         shard_size=8",
     );
     let wire_digest = field(&result, "digest").expect("digest field");
 
     let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.1);
-    let direct = run_fleet(&spec, fleet_config(0.1, DenseSolveTier::Batched, 8));
+    let direct = run_fleet(&spec, fleet_config(0.1, 8));
     assert_eq!(
         wire_digest,
         format!("{:016x}", digest_fleet(&direct.summary)),
-        "batched-tier wire job and direct fleet engine disagree bit-for-bit"
+        "batched-lane wire job and direct fleet engine disagree bit-for-bit"
     );
 
     handle.shutdown_and_wait();
 }
 
 #[test]
-fn removed_interp_tier_is_rejected_and_daemon_keeps_serving() {
+fn removed_solve_tier_field_is_rejected_and_daemon_keeps_serving() {
     let handle = start(8, 2);
     let mut client = Client::connect(&handle);
 
-    // `interp:<n>` is not a tier: exactly one error line answers it, and
-    // it names the valid tiers.
-    let reply = client.roundtrip(
-        "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;\
-         dense_tier=interp:4096",
-    );
-    assert!(reply.starts_with("err "), "got {reply}");
-    assert_eq!(field(&reply, "code").as_deref(), Some("bad_spec"));
-    assert!(
-        reply.contains("scalar") && reply.contains("batched"),
-        "error must name the valid tiers: {reply}"
-    );
-    // Nothing else was queued behind the error: the next line answers
-    // the next request.
-    assert_eq!(client.roundtrip("ping"), "ok pong=1");
-
-    // The daemon is still up and serves the next valid fleet job.
-    let result = run_to_result(
-        &mut client,
-        "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;\
-         dense_tier=batched",
-    );
-    assert_eq!(field(&result, "state").as_deref(), Some("done"));
     let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.0);
-    let direct = run_fleet(&spec, fleet_config(0.1, DenseSolveTier::Batched, 16));
-    assert_eq!(
-        field(&result, "digest").expect("digest"),
-        format!("{:016x}", digest_fleet(&direct.summary)),
+    let direct = format!(
+        "{:016x}",
+        digest_fleet(&run_fleet(&spec, fleet_config(0.1, 16)).summary)
     );
+    for tier in ["batched", "interp:4096"] {
+        // `dense_tier` is no longer a fleet field: exactly one error
+        // line answers it, listing the fields a fleet job accepts.
+        let reply = client.roundtrip(&format!(
+            "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;\
+             dense_tier={tier}"
+        ));
+        assert!(reply.starts_with("err "), "{tier}: got {reply}");
+        assert_eq!(field(&reply, "code").as_deref(), Some("bad_spec"), "{tier}");
+        assert!(
+            reply.contains("dense_tier")
+                && reply.contains(
+                    "allowed: system, env, days, seed, population, policy, jitter, shard_size"
+                ),
+            "{tier}: error must name the field and the allowed ones: {reply}"
+        );
+        // Nothing else was queued behind the error: the next line
+        // answers the next request.
+        assert_eq!(client.roundtrip("ping"), "ok pong=1", "{tier}");
+
+        // The daemon is still up and serves the next valid fleet job.
+        let result = run_to_result(
+            &mut client,
+            "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24",
+        );
+        assert_eq!(field(&result, "state").as_deref(), Some("done"), "{tier}");
+        assert_eq!(field(&result, "digest").expect("digest"), direct, "{tier}");
+    }
 
     handle.shutdown_and_wait();
 }
@@ -441,11 +446,9 @@ fn malformed_specs_get_protocol_errors_and_daemon_survives() {
         "submit kind=fleet;system=A;jitter=2",
         "submit kind=campaign;system=A;seeds=0",
         "submit kind=single;system=A;days=-1",
-        // Solve-tier and shard knobs: bad spellings and ranges.
-        "submit kind=fleet;system=A;dense_tier=warp",
-        "submit kind=fleet;system=A;dense_tier=interp:64",
+        // The shard knob out of range or on the wrong kind.
         "submit kind=fleet;system=A;shard_size=0",
-        "submit kind=single;system=A;dense_tier=batched",
+        "submit kind=single;system=A;shard_size=8",
         // Arena specs: bad rosters, bad seed counts, fleet-only knobs.
         "submit kind=arena",
         "submit kind=arena;system=A;roster=warp",
